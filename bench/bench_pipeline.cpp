@@ -4,6 +4,9 @@
 // Verifies the outputs are byte-identical, reports wall-clock for both
 // execution modes plus per-stage busy/idle and the resident-extraction
 // high-water mark, and emits machine-readable BENCH_pipeline.json for CI.
+// Exits non-zero on any output mismatch, or when the streaming route stage
+// is busy for more than 10% of the wall time: scoring belongs on the
+// extract workers, and the router should only apply the window budget.
 //
 //   ADAPARSE_BENCH_N     corpus size (default 1000)
 //   ADAPARSE_BENCH_REPS  timed repetitions per mode (default 3, best-of)
@@ -76,6 +79,9 @@ int main() {
   }
 
   const auto& ps = streaming.stats.pipeline;
+  constexpr double kMaxRouteBusyShare = 0.10;
+  const double route_busy_share = ps.route.busy_seconds / streaming_wall;
+  const bool route_ok = route_busy_share <= kMaxRouteBusyShare;
   util::Table table({"Mode", "wall (s)", "docs/s", "routed", "peak resident"});
   table.row()
       .add("barrier (4-stage)")
@@ -98,7 +104,10 @@ int main() {
                    100.0 * static_cast<double>(ps.resident_window) /
                        static_cast<double>(docs.size()),
                    1)
-            << "% of corpus)\n\n";
+            << "% of corpus)\n"
+            << "route busy share: "
+            << util::format_fixed(100.0 * route_busy_share, 1) << "% of wall"
+            << (route_ok ? "" : " — OVER the 10% gate") << "\n\n";
 
   util::Table stages({"Stage", "busy (s)", "idle (s)", "items", "peak queue"});
   const std::pair<const char*, const core::StageStats*> rows[] = {
@@ -128,6 +137,7 @@ int main() {
   out["queue_capacity"] = ps.queue_capacity;
   out["resident_window"] = ps.resident_window;
   out["peak_resident_extractions"] = ps.peak_resident_extractions;
+  out["route_busy_share"] = route_busy_share;
   util::JsonObject stage_obj;
   for (const auto& [name, stage] : rows) stage_obj[name] = stage_json(*stage);
   out["stages"] = util::Json(std::move(stage_obj));
@@ -137,5 +147,5 @@ int main() {
   }
   std::cout << "\nwrote BENCH_pipeline.json; wall time: "
             << util::format_fixed(total.seconds(), 1) << " s\n";
-  return mismatches == 0 ? 0 : 1;
+  return mismatches == 0 && route_ok ? 0 : 1;
 }

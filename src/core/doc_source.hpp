@@ -40,6 +40,8 @@ class VectorSource final : public DocumentSource {
  public:
   explicit VectorSource(const std::vector<doc::Document>& docs)
       : docs_(&docs) {}
+  /// A temporary corpus would dangle before the first next().
+  explicit VectorSource(const std::vector<doc::Document>&&) = delete;
 
   std::shared_ptr<const doc::Document> next() override {
     if (next_ >= docs_->size()) return nullptr;

@@ -61,72 +61,62 @@ std::size_t AdaParseEngine::worker_threads() const {
              : std::max<std::size_t>(2, std::thread::hardware_concurrency());
 }
 
-void AdaParseEngine::route_window(
-    const doc::Document* const* docs,
-    const parsers::ParseResult* const* extractions, std::size_t count,
-    std::size_t base_index, double alpha, RouteDecision* out) const {
-  std::vector<double> gains(count, 0.0);
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& document = *docs[i];
-    const auto& extraction = *extractions[i];
-    RouteDecision& decision = out[i];
-    decision.doc_index = base_index + i;
-
-    if (!extraction.ok) {
-      // Unreadable input: nothing can parse it; keep the cheap lane so the
-      // budget is not wasted, record the failure downstream.
-      decision.cls1_valid = false;
-      decision.trail = "error:unreadable";
-      gains[i] = 0.0;
-      continue;
-    }
-
-    const auto verdict =
-        cls1_validate(extraction.full_text(), document.num_pages(),
-                      config_.cls1_rules);
-    decision.cls1_valid = verdict.valid;
-    if (!verdict.valid) {
-      decision.trail = "cls1:" + verdict.reason + "|nougat";
-      gains[i] = kMandatoryGain;
-      continue;
-    }
-
-    if (config_.variant == Variant::kFastText) {
-      // Fused CLS I/II: metadata classifier decides "improvement likely".
-      const double p = improver_->improvement_probability(document.meta);
-      decision.predicted_gain = p;
-      if (p >= config_.cls2_threshold) {
-        decision.trail = "cls1:valid|cls2:p=" + util::format_fixed(p, 2) +
-                         "|nougat_candidate";
-        gains[i] = p;
-      } else {
-        decision.trail = "cls1:valid|cls2:p=" + util::format_fixed(p, 2) +
-                         "|accept";
-        gains[i] = 0.0;
-      }
-    } else {
-      // CLS III: predict per-parser accuracy from the extracted first page.
-      const auto scores = predictor_->predict(
-          first_page(extraction), document.meta.title, document.meta);
-      const double cheap =
-          scores[static_cast<std::size_t>(parsers::ParserKind::kPyMuPdf)];
-      const double expensive =
-          scores[static_cast<std::size_t>(parsers::ParserKind::kNougat)];
-      decision.predicted_gain = expensive - cheap;
-      decision.predicted_accuracy = cheap;  // may flip below
-      decision.trail =
-          "cls1:valid|cls3:gain=" + util::format_fixed(expensive - cheap, 3);
-      gains[i] = expensive - cheap;
-    }
+double AdaParseEngine::score_document(const doc::Document& document,
+                                      const parsers::ParseResult& extraction,
+                                      RouteDecision& decision) const {
+  if (!extraction.ok) {
+    // Unreadable input: nothing can parse it; keep the cheap lane so the
+    // budget is not wasted, record the failure downstream.
+    decision.cls1_valid = false;
+    decision.trail = "error:unreadable";
+    return 0.0;
   }
 
+  const auto verdict = cls1_validate(extraction.full_text(),
+                                     document.num_pages(), config_.cls1_rules);
+  decision.cls1_valid = verdict.valid;
+  if (!verdict.valid) {
+    decision.trail = "cls1:" + verdict.reason + "|nougat";
+    return kMandatoryGain;
+  }
+
+  if (config_.variant == Variant::kFastText) {
+    // Fused CLS I/II: metadata classifier decides "improvement likely".
+    const double p = improver_->improvement_probability(document.meta);
+    decision.predicted_gain = p;
+    const bool likely = p >= config_.cls2_threshold;
+    decision.trail = "cls1:valid|cls2:p=" + util::format_fixed(p, 2) +
+                     (likely ? "|nougat_candidate" : "|accept");
+    return likely ? p : 0.0;
+  }
+
+  // CLS III: predict per-parser accuracy from the extracted first page.
+  const auto scores = predictor_->predict(first_page(extraction),
+                                          document.meta.title, document.meta);
+  const double cheap =
+      scores[static_cast<std::size_t>(parsers::ParserKind::kPyMuPdf)];
+  const double expensive =
+      scores[static_cast<std::size_t>(parsers::ParserKind::kNougat)];
+  decision.predicted_gain = expensive - cheap;
+  decision.predicted_accuracy = cheap;  // may flip in select_window
+  decision.trail =
+      "cls1:valid|cls3:gain=" + util::format_fixed(expensive - cheap, 3);
+  return expensive - cheap;
+}
+
+void AdaParseEngine::select_window(const std::vector<double>& gains,
+                                   std::size_t base_index, double alpha,
+                                   RouteDecision* decisions) const {
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    decisions[i].doc_index = base_index + i;
+  }
   // Budgeted assignment within the batch: floor(alpha * k) Nougat slots.
+  // Unreadable documents score 0, so requiring a positive gain keeps them
+  // in the cheap lane.
   const auto selected = select_budgeted(gains, alpha,
                                         /*require_positive_gain=*/true);
   for (std::size_t local : selected) {
-    RouteDecision& decision = out[local];
-    if (!extractions[local]->ok) continue;
+    RouteDecision& decision = decisions[local];
     decision.chosen = parsers::ParserKind::kNougat;
     decision.trail += "|selected:nougat";
     decision.predicted_accuracy += decision.predicted_gain < kMandatoryGain
@@ -139,15 +129,11 @@ void AdaParseEngine::route_batch(
     const std::vector<doc::Document>& docs,
     const std::vector<parsers::ParseResult>& extractions, std::size_t begin,
     std::size_t end, std::vector<RouteDecision>& out) const {
-  const std::size_t k = end - begin;
-  std::vector<const doc::Document*> doc_ptrs(k);
-  std::vector<const parsers::ParseResult*> extraction_ptrs(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    doc_ptrs[i] = &docs[begin + i];
-    extraction_ptrs[i] = &extractions[begin + i];
+  std::vector<double> gains(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    gains[i - begin] = score_document(docs[i], extractions[i], out[i]);
   }
-  route_window(doc_ptrs.data(), extraction_ptrs.data(), k, begin,
-               config_.alpha, out.data() + begin);
+  select_window(gains, begin, config_.alpha, out.data() + begin);
 }
 
 std::vector<parsers::ParseResult> AdaParseEngine::extract_all(

@@ -150,18 +150,25 @@ class AdaParseEngine {
  private:
   friend class Pipeline;  ///< the streaming engine reuses the stage kernels
 
-  /// Routes one window of `count` documents whose global indices start at
-  /// `base_index`, applying the per-batch floor(alpha*k) budget. The
-  /// pointer spans let the streaming pipeline route non-contiguous storage.
-  /// `alpha` is explicit so callers under closed-loop control (the serve
-  /// path's SLO guardian) can shrink the budget per window; batch paths
-  /// always pass config().alpha.
-  void route_window(const doc::Document* const* docs,
-                    const parsers::ParseResult* const* extractions,
-                    std::size_t count, std::size_t base_index, double alpha,
-                    RouteDecision* out) const;
+  /// Per-document half of routing: the unreadable check, CLS I, then CLS II
+  /// (FT) or CLS III (LLM). Fills every field of `decision` except
+  /// doc_index and the budget's pick, and returns the document's gain for
+  /// the budget. Independent of every other document, so the streaming
+  /// pipeline runs it on the extract workers.
+  double score_document(const doc::Document& document,
+                        const parsers::ParseResult& extraction,
+                        RouteDecision& decision) const;
 
-  /// Routes one contiguous batch given its extraction results.
+  /// Per-window half of routing: applies the floor(alpha*k) budget over the
+  /// window's `gains` (k = gains.size(), global indices from `base_index`)
+  /// and finalizes the picked `decisions`. `alpha` is explicit so callers
+  /// under closed-loop control (the serve path's SLO guardian) can shrink
+  /// the budget per window; batch paths always pass config().alpha.
+  void select_window(const std::vector<double>& gains, std::size_t base_index,
+                     double alpha, RouteDecision* decisions) const;
+
+  /// Routes one contiguous batch [begin, end) given its extraction results:
+  /// score_document on each document, then select_window.
   void route_batch(const std::vector<doc::Document>& docs,
                    const std::vector<parsers::ParseResult>& extractions,
                    std::size_t begin, std::size_t end,

@@ -31,19 +31,16 @@ struct DocItem {
   DocPtr doc;
 };
 
-/// extract -> route.
-struct ExtractedItem {
-  std::size_t index = 0;
-  DocPtr doc;
-  parsers::ParseResult extraction;
-};
-
-/// route -> upgrade -> write. `upgrade` is set iff a Nougat parse ran.
-struct DoneItem {
+/// extract -> route -> upgrade -> write. The extract worker fills
+/// `decision` and `gain` (the per-document half of routing), the router
+/// applies the window budget to `decision`, and `upgrade` is set iff a
+/// Nougat parse ran.
+struct ScoredItem {
   std::size_t index = 0;
   DocPtr doc;
   parsers::ParseResult extraction;
   RouteDecision decision;
+  double gain = 0.0;
   std::optional<parsers::ParseResult> upgrade;
 };
 
@@ -72,9 +69,9 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
       std::max<std::size_t>(1, config_.upgrade_workers);
 
   sched::BoundedQueue<DocItem> prefetched(cap);
-  sched::BoundedQueue<ExtractedItem> extracted(cap);
-  sched::BoundedQueue<DoneItem> routed(cap);
-  sched::BoundedQueue<DoneItem> completed(cap);
+  sched::BoundedQueue<ScoredItem> extracted(cap);
+  sched::BoundedQueue<ScoredItem> routed(cap);
+  sched::BoundedQueue<ScoredItem> completed(cap);
 
   // Admission credits: the prefetcher takes one credit per document, the
   // writer returns it once the record is emitted, so at most
@@ -177,7 +174,10 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
     merge(prefetch_clock, clock);
   });
 
-  // ---- Stage 2: parallel extraction workers on the shared pool. ----------
+  // ---- Stage 2: parallel extraction workers on the shared pool. Each
+  // worker also scores its document (CLS I, then CLS II or III): that work
+  // needs no other document, so it runs here, W-wide, and the router is
+  // left with only the per-window budget. ----------------------------------
   std::vector<std::future<void>> worker_futures;
   worker_futures.reserve(extract_workers + upgrade_workers);
   for (std::size_t w = 0; w < extract_workers; ++w) {
@@ -190,12 +190,14 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
           clock.idle += op.seconds();
           if (!item) break;
           op.reset();
-          ExtractedItem out;
+          ScoredItem out;
           out.index = item->index;
           out.doc = std::move(item->doc);
           {
             obs::SpanGuard span("pipeline", "extract", "doc", out.index);
             out.extraction = engine_.extractor_->parse(*out.doc);
+            out.gain = engine_.score_document(*out.doc, out.extraction,
+                                              out.decision);
             if (span.active()) {
               std::size_t bytes = 0;
               for (const auto& page : out.extraction.pages) {
@@ -227,29 +229,24 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
     }));
   }
 
-  // ---- Stage 3: sliding-window router. Per-batch floor(alpha*k) budget
-  // semantics need k *consecutive* documents, so out-of-order extractions
-  // are buffered here until each window is contiguous, then routed as one
-  // batch — identical decisions to the barrier path, without waiting for
-  // the whole corpus. ------------------------------------------------------
+  // ---- Stage 3: sliding-window budget. Per-batch floor(alpha*k) budget
+  // semantics need k *consecutive* documents, so out-of-order scored items
+  // are buffered here until each window is contiguous, then the budget
+  // picks within it — identical decisions to the barrier path, without
+  // waiting for the whole corpus. -----------------------------------------
   std::thread router([&] {
     StageClock clock;
     try {
-      std::map<std::size_t, ExtractedItem> out_of_order;
-      std::vector<ExtractedItem> window;  // contiguous run from `base`
+      std::map<std::size_t, ScoredItem> out_of_order;
+      std::vector<ScoredItem> window;  // contiguous run from `base`
       window.reserve(k);
+      std::vector<double> gains;
+      std::vector<RouteDecision> decisions;
       std::size_t base = 0;  // global index of window.front()
       bool downstream_open = true;
 
       auto flush_window = [&] {
         if (window.empty()) return;
-        std::vector<const doc::Document*> docs(window.size());
-        std::vector<const parsers::ParseResult*> extractions(window.size());
-        for (std::size_t i = 0; i < window.size(); ++i) {
-          docs[i] = window[i].doc.get();
-          extractions[i] = &window[i].extraction;
-        }
-        std::vector<RouteDecision> decisions(window.size());
         // One budget read per window: every document in the window is
         // routed under the same effective alpha, and the controller's
         // scale can never split a batch's floor(alpha*k) accounting.
@@ -262,18 +259,21 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
         {
           obs::SpanGuard span("pipeline", "route.window", "base", base, "docs",
                               window.size());
-          engine_.route_window(docs.data(), extractions.data(), window.size(),
-                               base, alpha, decisions.data());
+          gains.clear();
+          decisions.clear();
+          for (ScoredItem& item : window) {
+            gains.push_back(item.gain);
+            decisions.push_back(std::move(item.decision));
+          }
+          engine_.select_window(gains, base, alpha, decisions.data());
+          for (std::size_t i = 0; i < window.size(); ++i) {
+            window[i].decision = std::move(decisions[i]);
+          }
         }
         clock.busy += work.seconds();
-        for (std::size_t i = 0; i < window.size(); ++i) {
-          DoneItem out;
-          out.index = window[i].index;
-          out.doc = std::move(window[i].doc);
-          out.extraction = std::move(window[i].extraction);
-          out.decision = std::move(decisions[i]);
+        for (ScoredItem& item : window) {
           util::Stopwatch op;
-          const bool pushed = routed.push(std::move(out));
+          const bool pushed = routed.push(std::move(item));
           clock.idle += op.seconds();
           if (!pushed) {
             downstream_open = false;
@@ -364,7 +364,7 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
   std::thread writer([&] {
     StageClock clock;
     try {
-      std::map<std::size_t, DoneItem> out_of_order;
+      std::map<std::size_t, ScoredItem> out_of_order;
       std::size_t next = 0;
       for (;;) {
         util::Stopwatch op;
@@ -377,7 +377,7 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
         out_of_order.emplace(item->index, std::move(*item));
         for (auto it = out_of_order.find(next); it != out_of_order.end();
              it = out_of_order.find(next)) {
-          DoneItem done = std::move(it->second);
+          ScoredItem done = std::move(it->second);
           out_of_order.erase(it);
           stats.extraction_cpu_seconds += done.extraction.cost.cpu_seconds;
           const io::ParseRecord record = engine_.make_record(

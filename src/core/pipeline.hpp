@@ -2,16 +2,19 @@
 // through bounded-queue-connected stages instead of the barrier-staged
 // run_barrier() phases —
 //
-//   source ─▶ [prefetch] ─q─▶ [extract ×W] ─q─▶ [route] ─q─▶ [upgrade ×G]
-//                                                                  │
-//                                                  sink ◀─ [write] ◀q
+//   source ─▶ [prefetch] ─q─▶ [extract + score ×W] ─q─▶ [route: budget]
+//                                                               │
+//                      sink ◀─ [write] ◀─q─ [upgrade ×G] ◀─q────┘
 //
 // Every queue is a sched::BoundedQueue, so a slow stage back-pressures the
 // prefetcher instead of letting extractions pile up in RAM (the same
 // reason the paper stages shard batches into node-local storage rather
-// than unboundedly). Routing preserves the per-batch floor(alpha*k) budget
-// semantics by assembling sliding windows of k consecutive documents;
-// upgrades run on warm models (sched::WarmModelCache); the write stage
+// than unboundedly). Routing is split by what it needs: CLS I and CLS II
+// (FT) or CLS III (LLM) look at one document, so each extract worker
+// scores its document right after extracting it; only the per-batch
+// floor(alpha*k) budget needs k consecutive documents, so the single
+// router thread assembles sliding windows and applies just the budget.
+// Upgrades run on warm models (sched::WarmModelCache); the write stage
 // restores input order and emits each io::ParseRecord the moment its
 // document completes — so output streams to JSONL incrementally and the
 // peak number of resident extractions is bounded by the batch size plus

@@ -67,10 +67,11 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
   // Unique per-call temp name: two threads atomically writing the same
   // path (e.g. a primary attempt and its hedge both re-staging one corrupt
   // shard) must not race on a shared temp file — whoever renames last
-  // wins, and with deterministic content both outcomes are identical.
+  // wins, and with deterministic content both outcomes are identical. The
+  // pid keeps forked processes apart: they inherit the counter's value.
   static std::atomic<unsigned long> sequence{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(sequence.fetch_add(1) + 1);
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1) + 1);
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                         0644);
   if (fd < 0) {

@@ -15,7 +15,12 @@ const char* parser_name(ParserKind k) {
 }
 
 std::string ParseResult::full_text() const {
+  // Size the result once: growing it page by page leaves a trail of freed
+  // buffers behind in the calling thread's malloc arena.
+  std::size_t bytes = 0;
+  for (const auto& page : pages) bytes += page.size() + 1;
   std::string out;
+  out.reserve(bytes);
   bool first = true;
   for (const auto& page : pages) {
     if (page.empty()) continue;

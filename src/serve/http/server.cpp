@@ -160,9 +160,11 @@ void HttpServer::close_connection(int fd, bool disconnected) {
     conn.job.reset();
   }
   loop_.remove(fd);
+  // Publish the new count before erase() closes the fd: a peer that sees
+  // its socket close must also see the connection gone from the count.
+  open_count_.store(conns_.size() - 1, std::memory_order_relaxed);
+  connections_open_.set(conns_.size() - 1);
   conns_.erase(it);
-  open_count_.store(conns_.size(), std::memory_order_relaxed);
-  connections_open_.set(conns_.size());
 }
 
 void HttpServer::on_event(int fd, std::uint32_t events) {

@@ -103,6 +103,8 @@ void dump_value(std::string& out, const Json& j) {
 
 class Parser {
  public:
+  static constexpr std::size_t kMaxDepth = 512;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
@@ -153,8 +155,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse; bound the depth so hostile input (e.g. a body
+        // of 100k '[') is a parse error rather than a stack overflow.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -280,6 +291,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

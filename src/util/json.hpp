@@ -62,7 +62,7 @@ class Json {
   std::string dump() const;
 
   /// Parses a complete JSON document; throws std::runtime_error on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage, or containers nested more than 512 deep.
   static Json parse(std::string_view text);
 
  private:

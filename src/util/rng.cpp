@@ -15,6 +15,33 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Zipf weights pow(r + 1, -s) for r < n, and their sum in index order.
+struct ZipfTable {
+  std::size_t n = 0;
+  double s = 0.0;
+  std::vector<double> weights;
+  double total = 0.0;
+};
+
+/// The calling thread's table for (n, s). The reference is valid until the
+/// thread's next call.
+const ZipfTable& zipf_table(std::size_t n, double s) {
+  // Callers draw from a handful of (n, s) pairs, so a linear scan is enough.
+  thread_local std::vector<ZipfTable> tables;
+  for (const ZipfTable& table : tables) {
+    if (table.n == n && table.s == s) return table;
+  }
+  ZipfTable& table = tables.emplace_back();
+  table.n = n;
+  table.s = s;
+  table.weights.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    table.weights[r] = std::pow(r + 1.0, -s);
+    table.total += table.weights[r];
+  }
+  return table;
+}
+
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -110,16 +137,14 @@ double Rng::exponential(double rate) {
 
 std::size_t Rng::zipf(std::size_t n, double s) {
   if (n == 0) throw std::invalid_argument("zipf: n must be > 0");
-  // Inverse-CDF over explicit weights would be O(n); use rejection with the
-  // standard bounding envelope instead (fast for the n (~vocab size) we use).
-  // For simplicity and robustness we use a cumulative draw with cached
-  // normalizer for small n, and rejection for large n.
+  // Small n: inverse-CDF walk over the explicit weights, cached per (n, s)
+  // and per thread. The walk sums and subtracts in the same order as a
+  // fresh computation would, so draws are bit-identical to it.
   if (n <= 4096) {
-    double total = 0.0;
-    for (std::size_t r = 0; r < n; ++r) total += std::pow(r + 1.0, -s);
-    double u = uniform() * total;
+    const ZipfTable& table = zipf_table(n, s);
+    double u = uniform() * table.total;
     for (std::size_t r = 0; r < n; ++r) {
-      u -= std::pow(r + 1.0, -s);
+      u -= table.weights[r];
       if (u <= 0.0) return r;
     }
     return n - 1;

@@ -695,6 +695,24 @@ TEST(HttpServerTest, ErrorEnvelopesOverTheWire) {
   service.shutdown();
 }
 
+TEST(HttpServerTest, DeeplyNestedBodyIsBadJsonNotACrash) {
+  serve::ParseService service(small_service_config(), nullptr,
+                              shared_improver());
+  serve::http::HttpServer server(service);
+  const std::uint16_t port = server.port();
+  // 100 KB of '[' would recurse the parser off the end of the stack.
+  const auto r = roundtrip(port, post_parse_request(std::string(100000, '[')));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(util::Json::parse(r.body).at("error").at("code").as_string(),
+            "bad_json");
+  // The server survived: the next request is served normally.
+  const auto next = roundtrip(
+      port, "GET /v1/jobs/99999 HTTP/1.1\r\nConnection: close\r\n\r\n");
+  EXPECT_EQ(next.status, 404);
+  server.stop();
+  service.shutdown();
+}
+
 TEST(HttpServerTest, JobStatusAndCancelEndpoints) {
   serve::ParseService service(small_service_config(), nullptr,
                               shared_improver());

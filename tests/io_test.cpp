@@ -1,6 +1,8 @@
 // Tests for the io module: JSONL records, shard archives, and the document
 // codec used by shard-backed streaming sources.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <sstream>
@@ -10,6 +12,7 @@
 #include "io/fsio.hpp"
 #include "io/jsonl.hpp"
 #include "io/shard.hpp"
+#include "util/rng.hpp"
 
 namespace adaparse::io {
 namespace {
@@ -233,6 +236,22 @@ TEST(DocCodec, UnpackRejectsCorruptBlob) {
   EXPECT_THROW(unpack_corpus_shard(blob), std::runtime_error);
 }
 
+TEST(DocCodec, BenchmarkCorpusBytesArePinned) {
+  // Pins the generated corpus byte for byte: any change to the generator or
+  // to an RNG draw it makes (the Zipf sampler included) moves this digest.
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0x7EA1ULL}) {
+    const auto docs =
+        doc::CorpusGenerator(doc::benchmark_config(20, seed)).generate();
+    for (const auto& document : docs) {
+      for (const char c : document_to_json(document).dump()) {
+        h = util::fnv1a_step(h, static_cast<unsigned char>(c));
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xF8044F2C2400B4CFULL);
+}
+
 TEST(Fsio, ReadMissingFileReturnsNullopt) {
   EXPECT_FALSE(read_file("/nonexistent/adaparse-fsio-test").has_value());
 }
@@ -273,6 +292,39 @@ TEST(Fsio, AtomicWriteExercisesFsyncPath) {
   EXPECT_GE(after - before, 2u);
   EXPECT_EQ(read_file((dir / "durable.bin").string()).value_or(""),
             "must hit the platter");
+}
+
+TEST(Fsio, AtomicWritesFromForkedProcessesDoNotCollide) {
+  // A forked child inherits the temp-name counter; parent and child
+  // committing the same path at once must still use distinct temp files.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "adaparse_fsio_fork";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "shared.bin").string();
+  constexpr int kWrites = 200;
+  const auto write_all = [&path](const char* who) {
+    int failures = 0;
+    for (int i = 0; i < kWrites; ++i) {
+      try {
+        write_file_atomic(path, who);
+      } catch (const std::runtime_error&) {
+        ++failures;
+      }
+    }
+    return failures;
+  };
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) _exit(write_all("child") == 0 ? 0 : 1);
+  const int parent_failures = write_all("parent");
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_EQ(parent_failures, 0);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "a write in the child failed";
+  const std::string last = read_file(path).value_or("");
+  EXPECT_TRUE(last == "parent" || last == "child") << last;
 }
 
 TEST(Fsio, Fnv1aIsStableAndContentSensitive) {

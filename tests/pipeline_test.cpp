@@ -78,6 +78,29 @@ class PipelineFixture : public ::testing::Test {
     bundle_ = nullptr;
     docs_ = nullptr;
   }
+  /// Streaming vs barrier over budget windows k in {1, 7, 256} and extract
+  /// workers W in {1, 4}. With W > 1, scoring finishes out of order on the
+  /// workers; the router must still budget each window of k consecutive
+  /// documents exactly as the barrier path does.
+  static void expect_matches_barrier_across_shapes(
+      const AdaParseEngine& trained) {
+    for (const std::size_t batch_size : {1, 7, 256}) {
+      EngineConfig config = trained.config();
+      config.batch_size = batch_size;
+      const AdaParseEngine engine(config, bundle_->predictor,
+                                  bundle_->improver);
+      const auto barrier = engine.run_barrier(*docs_);
+      for (const std::size_t workers : {1, 4}) {
+        SCOPED_TRACE("k=" + std::to_string(batch_size) +
+                     " W=" + std::to_string(workers));
+        PipelineConfig pipeline;
+        pipeline.extract_workers = workers;
+        expect_identical(Pipeline(engine, pipeline).run_collect(*docs_),
+                         barrier);
+      }
+    }
+  }
+
   static TrainedAdaParse* bundle_;
   static std::vector<doc::Document>* docs_;
 };
@@ -95,6 +118,7 @@ TEST_F(PipelineFixture, StreamingMatchesBarrierLlmVariant) {
   EXPECT_FALSE(barrier.stats.pipeline.streaming);
   EXPECT_GT(barrier.stats.routed_to_nougat, 0U);  // the GPU lane is live
   expect_identical(streaming, barrier);
+  expect_matches_barrier_across_shapes(engine);
 }
 
 TEST_F(PipelineFixture, StreamingMatchesBarrierFtVariant) {
@@ -102,6 +126,7 @@ TEST_F(PipelineFixture, StreamingMatchesBarrierFtVariant) {
   const auto barrier = engine.run_barrier(*docs_);
   const auto streaming = Pipeline(engine).run_collect(*docs_);
   expect_identical(streaming, barrier);
+  expect_matches_barrier_across_shapes(engine);
 }
 
 TEST_F(PipelineFixture, RunDelegatesToStreamingPipeline) {

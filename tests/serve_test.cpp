@@ -60,6 +60,11 @@ JobRequest make_request(std::string tenant,
   return request;
 }
 
+// The source aliases `docs`; a temporary corpus would dangle.
+JobRequest make_request(std::string tenant,
+                        const std::vector<doc::Document>&& docs,
+                        std::size_t batch_size, double alpha = 0.25) = delete;
+
 /// Source whose next() blocks until open() — holds a dispatcher mid-slice
 /// so admission tests can fill the queue deterministically.
 class GateSource final : public core::DocumentSource {
@@ -828,7 +833,8 @@ TEST(ParseServiceTest, DeadlineDrainCancelsStragglersAndReturnsTheirIds) {
 
   // The service stays usable after a deadline drain: a tiny job clears
   // even with the spike still active (4 docs x 20 ms).
-  auto after = service.submit(make_request("x", mixed_corpus(4, 9), 4));
+  const auto tail = mixed_corpus(4, 9);
+  auto after = service.submit(make_request("x", tail, 4));
   after->wait();
   EXPECT_EQ(after->state(), JobState::kCompleted);
 }

@@ -448,6 +448,19 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse(""), std::runtime_error);
 }
 
+TEST(Json, BoundsNestingDepth) {
+  // 512 levels parse; one more is an error, never a stack overflow.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(512)));
+  EXPECT_THROW(Json::parse(nested(513)), std::runtime_error);
+  EXPECT_THROW(Json::parse(std::string(1000000, '[')), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), std::runtime_error);
+}
+
 TEST(Json, NumbersIncludingNegativeAndExponent) {
   EXPECT_EQ(Json::parse("-3.5").as_number(), -3.5);
   EXPECT_EQ(Json::parse("1e3").as_number(), 1000.0);
