@@ -93,6 +93,14 @@ def check_http(merged):
         return None, ["BENCH_http: not a bench_http emission"]
     if "clean_drain" not in data:
         errors.append("BENCH_http: lacks 'clean_drain'")
+    counts = [data.get(key) for key in ("jobs", "completed", "failed")]
+    if not all(isinstance(c, int) for c in counts):
+        errors.append(
+            "BENCH_http: lacks integer 'jobs', 'completed' and 'failed'")
+    elif counts[2] != counts[0] - counts[1]:
+        errors.append(
+            f"BENCH_http: failed={counts[2]} is not jobs - completed "
+            f"({counts[0]} - {counts[1]})")
     latency = data.get("latency")
     if not isinstance(latency, dict):
         errors.append("BENCH_http: lacks the 'latency' percentile object")

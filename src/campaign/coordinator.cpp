@@ -12,6 +12,8 @@
 #include "io/doc_codec.hpp"
 #include "io/fsio.hpp"
 #include "obs/trace.hpp"
+#include "sched/thread_pool.hpp"
+#include "sched/warm_cache.hpp"
 
 namespace adaparse::campaign {
 
@@ -27,6 +29,26 @@ Coordinator::Coordinator(ShardExecutor executor, ManifestWriter& manifest,
   shards_.assign(executor_.shard_docs.size(), ShardInfo{});
   for (const std::size_t shard : pending_) {
     shards_[shard].phase = ShardInfo::Phase::kPending;
+  }
+  if (threads()) {
+    // Sized so every concurrent shard runs its full pipeline complement.
+    pool_ = std::make_unique<sched::ThreadPool>(
+        config().workers *
+        (config().extract_workers + config().upgrade_workers));
+    warm_cache_ = std::make_unique<sched::WarmModelCache>(/*enabled=*/true);
+    executor_.pool = pool_.get();
+    executor_.warm_cache = warm_cache_.get();
+  }
+}
+
+Coordinator::~Coordinator() {
+  // Thread workers share this object's pool, pipes, and executor; none may
+  // outlive it. Only reached with live threads when run() threw.
+  for (Worker& w : workers_) {
+    if (w.thread && w.thread->thread.joinable()) {
+      kill(w);
+      wait(w);
+    }
   }
 }
 
@@ -65,6 +87,37 @@ bool Coordinator::run() {
 
 void Coordinator::spawn_worker() {
   Worker w;  // both Pipe constructors open their pairs
+  if (!threads()) spawn_child(w);
+  proc::Pipe::set_nonblocking(w.from_child.read_fd());
+  w.alive = true;
+  w.last_message = std::chrono::steady_clock::now();
+  workers_.push_back(std::move(w));
+  Worker& worker = workers_.back();
+  if (threads()) {
+    // Started only once the worker sits in workers_, so the destructor
+    // can always find and join it.
+    worker.id = spawned_;
+    worker.thread = std::make_unique<WorkerThread>();
+    WorkerThread* handle = worker.thread.get();
+    const int task_fd = worker.to_child.read_fd();
+    const int result_fd = worker.from_child.write_fd();
+    handle->thread = std::thread([this, handle, task_fd, result_fd] {
+      try {
+        run_task_loop(executor_, task_fd, result_fd, &handle->cancel,
+                      /*after_result=*/nullptr);
+      } catch (...) {
+        handle->error = std::current_exception();
+      }
+      handle->exited.store(true);
+    });
+  }
+  obs::Tracer::instance().instant("campaign", "worker.spawn", "worker",
+                                  worker.id);
+  ++spawned_;
+  update([](CampaignStats& s) { ++s.workers_spawned; });
+}
+
+void Coordinator::spawn_child(Worker& w) {
   w.child = proc::Child::spawn([this, &w] {
     // Forked child: drop every pipe end belonging to the coordinator's
     // other workers — a held peer write end would mask that peer's EOF —
@@ -83,15 +136,39 @@ void Coordinator::spawn_worker() {
   });
   w.to_child.close_read();
   w.from_child.close_write();
-  proc::Pipe::set_nonblocking(w.from_child.read_fd());
-  w.alive = true;
-  w.last_message = std::chrono::steady_clock::now();
-  obs::Tracer::instance().instant(
-      "campaign", "worker.spawn", "pid",
-      static_cast<std::uint64_t>(w.child.pid()));
-  workers_.push_back(std::move(w));
-  ++spawned_;
-  update([](CampaignStats& s) { ++s.workers_spawned; });
+  w.id = static_cast<std::uint64_t>(w.child.pid());
+}
+
+void Coordinator::kill(Worker& worker) {
+  if (worker.thread) {
+    worker.thread->cancel.store(true);
+  } else {
+    worker.child.kill(SIGKILL);
+  }
+}
+
+bool Coordinator::try_reap(Worker& worker) {
+  if (!worker.thread) return worker.child.try_wait().has_value();
+  if (!worker.thread->exited.load()) return false;
+  worker.thread->thread.join();
+  if (worker.thread->error) {
+    // Not a death to recover from: the attempt hit an error that a retry
+    // would hit again (say, a source that can no longer re-stage a shard).
+    std::rethrow_exception(std::exchange(worker.thread->error, nullptr));
+  }
+  return true;
+}
+
+void Coordinator::wait(Worker& worker) {
+  if (!worker.thread) {
+    worker.child.wait();
+    return;
+  }
+  // EOF on the task pipe ends an idle loop; EPIPE on the result pipe ends
+  // a loop that would otherwise block writing to an undrained pipe.
+  worker.to_child.close_write();
+  worker.from_child.close_read();
+  if (worker.thread->thread.joinable()) worker.thread->thread.join();
 }
 
 void Coordinator::ensure_workers() {
@@ -113,7 +190,7 @@ void Coordinator::reap() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = workers_[i];
     if (!w.alive) continue;
-    if (!w.child.try_wait()) continue;
+    if (!try_reap(w)) continue;
     // Drain what the worker wrote before dying: a result already in the
     // pipe may still commit (its output file landed before the message).
     drain_worker(i);
@@ -126,8 +203,7 @@ void Coordinator::on_worker_lost(std::size_t index) {
   w.alive = false;
   const auto now = std::chrono::steady_clock::now();
   obs::Tracer::instance().instant(
-      "campaign", "worker.death", "pid",
-      static_cast<std::uint64_t>(w.child.pid()), "queued",
+      "campaign", "worker.death", "worker", w.id, "queued",
       static_cast<std::uint64_t>(w.assigned.size()));
   update([](CampaignStats& s) { ++s.workers_died; });
   if (!w.assigned.empty()) {
@@ -216,22 +292,26 @@ void Coordinator::check_heartbeats() {
   for (Worker& w : workers_) {
     if (!w.alive || w.kill_sent || w.assigned.empty()) continue;
     if (now - w.last_message <= config().heartbeat_timeout) continue;
-    // Hung, not dead — waitpid would have caught dead. SIGKILL turns it
-    // into an ordinary death that reap() recovers from.
-    w.child.kill(SIGKILL);
+    // Hung, not dead — reap would have caught dead. The kill turns it into
+    // an ordinary death that reap() recovers from. A thread worker's kill
+    // only cancels its attempt: one stuck outside the pipeline's
+    // cancellation points stays stuck.
+    kill(w);
     w.kill_sent = true;
-    obs::Tracer::instance().instant(
-        "campaign", "worker.kill", "pid",
-        static_cast<std::uint64_t>(w.child.pid()));
+    obs::Tracer::instance().instant("campaign", "worker.kill", "worker",
+                                    w.id);
     update([](CampaignStats& s) { ++s.workers_killed; });
   }
 }
 
-void Coordinator::send_task(Worker& worker, std::size_t shard, bool hedge) {
+void Coordinator::send_task(Worker& worker, std::size_t shard, bool hedge,
+                            const PendingTask* stolen) {
   ShardInfo& si = shards_[shard];
   PendingTask task;
   task.shard = shard;
-  task.attempt = si.attempts_started++;
+  // A stolen task never started, so it keeps its attempt number: scripted
+  // faults key on attempt numbers, and a steal must not skip one.
+  task.attempt = stolen ? stolen->attempt : si.attempts_started++;
   task.hedge = hedge;
   task.dispatched = std::chrono::steady_clock::now();
   task.quarantine_snapshot = quarantined_.size();
@@ -241,7 +321,7 @@ void Coordinator::send_task(Worker& worker, std::size_t shard, bool hedge) {
   }
   if (hedge) si.hedged = true;
   ++si.in_flight;
-  update([](CampaignStats& s) { ++s.attempts_started; });
+  if (!stolen) update([](CampaignStats& s) { ++s.attempts_started; });
   proc::Message message;
   message.type = proc::MsgType::kTask;
   message.shard = shard;
@@ -320,10 +400,9 @@ void Coordinator::dispatch() {
                       proc::encode_frame(revoke));
       obs::Tracer::instance().instant(
           "campaign", "steal", "shard",
-          static_cast<std::uint64_t>(stolen.shard), "victim_pid",
-          static_cast<std::uint64_t>(victim->child.pid()));
+          static_cast<std::uint64_t>(stolen.shard), "victim", victim->id);
       update([](CampaignStats& s) { ++s.shards_stolen; });
-      send_task(thief, stolen.shard, stolen.hedge);
+      send_task(thief, stolen.shard, stolen.hedge, &stolen);
       continue;
     }
     if (const auto hedge = pick_hedge()) {
@@ -371,7 +450,7 @@ void Coordinator::drain_worker(std::size_t index) {
     // Corrupt frame: the protocol stream is broken, so nothing further
     // from this worker can be trusted. Treat it like a hung worker.
     if (w.alive && !w.kill_sent) {
-      w.child.kill(SIGKILL);
+      kill(w);
       w.kill_sent = true;
       update([](CampaignStats& s) { ++s.workers_killed; });
     }
@@ -534,13 +613,8 @@ void Coordinator::requeue(std::size_t shard) {
 }
 
 void Coordinator::shutdown_workers() {
-  if (halted_) {
-    // The scripted kill: this process is "dead", and real workers die
-    // with their coordinator — no goodbye, mid-whatever-they-were-doing.
-    for (Worker& w : workers_) {
-      if (w.alive) w.child.kill(SIGKILL);
-    }
-  } else {
+  if (!halted_ && !threads()) {
+    // Forked workers get a goodbye and a grace period to exit on their own.
     proc::Message bye;
     bye.type = proc::MsgType::kShutdown;
     for (Worker& w : workers_) {
@@ -563,13 +637,17 @@ void Coordinator::shutdown_workers() {
       if (!waiting || std::chrono::steady_clock::now() >= deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    for (Worker& w : workers_) {
-      if (w.alive) w.child.kill(SIGKILL);
-    }
+  }
+  // The scripted halt kills everything mid-whatever-it-was-doing: real
+  // workers die with their coordinator. Thread workers cannot outlive
+  // run() at all, so their running attempts (a losing hedge twin, say)
+  // are cancelled on every exit.
+  for (Worker& w : workers_) {
+    if (w.alive) kill(w);
   }
   for (Worker& w : workers_) {
     if (w.alive) {
-      w.child.wait();
+      wait(w);
       w.alive = false;
     }
   }

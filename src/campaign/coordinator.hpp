@@ -1,38 +1,52 @@
-// Multi-process campaign execution: a coordinator supervising forked
-// workers over pipes.
+// The campaign scheduler: one coordinator supervising N workers over pipes,
+// for both execution modes.
 //
 // The coordinator owns the shard queue and the manifest; workers own
 // nothing durable. Each worker gets a task channel (down) and a
 // heartbeat/result channel (up), with shards pre-assigned up to
 // CampaignConfig::worker_queue_depth so workers never idle on a dispatch
-// round-trip. Supervision is a single-threaded poll loop:
+// round-trip. A worker runs campaign::run_task_loop() on one of two
+// transports:
 //
-//   reap        waitpid(WNOHANG) every worker; a dead child's uncommitted
-//               shards are requeued, its running attempt counted as a
-//               measured recovery latency, and a replacement forked
+//   forked child  kMultiProcess: process isolation and real deaths
+//                 (SIGKILL, OOM, crashes) seen through waitpid
+//   thread        kInProcess: a std::thread in this process sharing one
+//                 ThreadPool and WarmModelCache; its "kill" is its cancel
+//                 flag and its "reap" is the thread having exited
+//
+// Supervision is one single-threaded poll loop, identical for both:
+//
+//   reap        a dead worker's uncommitted shards are requeued, its
+//               running attempt counted as a measured recovery latency, and
+//               a replacement started; an exception that ended a thread
+//               worker propagates out of run() instead
 //   heartbeats  a worker with assigned work but no message inside
-//               heartbeat_timeout is presumed hung and SIGKILLed (waitpid
-//               then reaps it like any other death)
+//               heartbeat_timeout is presumed hung and killed (reap then
+//               recovers it like any other death)
 //   dispatch    fill worker queues from the pending deque; once it drains,
 //               steal queued-but-unstarted shards back from the most
-//               backlogged worker for idle ones (kRevoke + fresh attempt),
-//               and hedge long-running shards exactly like the in-process
-//               mode — first commit wins
+//               backlogged worker for idle ones (kRevoke, then the same
+//               attempt number on the thief), and hedge long-running shards
+//               with a fresh attempt — first commit wins
 //   read        drain result pipes, decode frames, update progress, and
 //               commit finished shards
 //
-// The commit protocol is byte-for-byte the in-process one: the worker
-// atomically renames the shard output into place, the coordinator verifies
-// the file against the result's checksum and appends the shard record.
-// Only the coordinator writes the manifest, so the journal needs no
-// cross-process locking.
+// Commit protocol: the worker atomically renames the shard output into
+// place, the coordinator verifies the file against the result's checksum
+// and appends the shard record. Only the coordinator writes the manifest,
+// so the journal needs no cross-process locking.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "campaign/manifest.hpp"
@@ -52,15 +66,23 @@ class Coordinator {
       std::function<void(const std::function<void(CampaignStats&)>&)>;
 
   /// `executor` carries the engine/config/plan (pool and warm_cache unset:
-  /// each forked worker builds its own). `pending` holds the uncommitted
-  /// shard indices; every other shard is treated as already committed.
+  /// the coordinator provides the thread workers' shared pair, and each
+  /// forked worker builds its own). `pending` holds the uncommitted shard
+  /// indices; every other shard is treated as already committed.
   Coordinator(ShardExecutor executor, ManifestWriter& manifest,
               std::deque<std::size_t> pending,
               std::vector<QuarantineRecord> quarantined, StatsUpdate update);
 
+  /// Cancels and joins any thread worker still running (run() threw).
+  ~Coordinator();
+
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
+
   /// Runs the supervision loop until every shard is committed or a
   /// scripted halt fires. Returns true when halted (resume to finish).
-  /// Throws std::runtime_error when no worker can be kept alive.
+  /// Throws std::runtime_error when no worker can be kept alive, and
+  /// rethrows an exception that escaped a thread worker's attempt.
   bool run();
 
  private:
@@ -76,15 +98,25 @@ class Coordinator {
     std::size_t docs_done = 0;  ///< last heartbeat progress
   };
 
+  /// A thread worker's stand-ins for a process's pid, signals, and exit.
+  struct WorkerThread {
+    std::atomic<bool> cancel{false};  ///< the "SIGKILL"
+    std::atomic<bool> exited{false};  ///< the task loop has returned
+    std::exception_ptr error;         ///< escaped the loop; read after join
+    std::thread thread;               ///< joined by the coordinator
+  };
+
   struct Worker {
-    proc::Child child;
+    proc::Child child;                     ///< forked transport
+    std::unique_ptr<WorkerThread> thread;  ///< thread transport
+    std::uint64_t id = 0;  ///< pid, or spawn ordinal for a thread (traces)
     proc::Pipe to_child;    ///< coordinator writes tasks
     proc::Pipe from_child;  ///< worker writes heartbeats/results
     proc::FrameDecoder decoder;
     std::deque<PendingTask> assigned;  ///< front = running, rest queued
     std::chrono::steady_clock::time_point last_message{};
     bool alive = false;
-    bool kill_sent = false;  ///< heartbeat-timeout SIGKILL already fired
+    bool kill_sent = false;  ///< heartbeat-timeout kill already fired
   };
 
   struct ShardInfo {
@@ -98,16 +130,33 @@ class Coordinator {
   };
 
   const CampaignConfig& config() const { return *executor_.config; }
+  /// The transport: threads for kInProcess, forked children otherwise.
+  bool threads() const {
+    return config().execution == CampaignConfig::ExecutionMode::kInProcess;
+  }
   void update(const std::function<void(CampaignStats&)>& fn) { update_(fn); }
   std::size_t remaining() const;
   std::size_t alive_workers() const;
 
+  // Transport primitives: everything else is transport-agnostic.
   void spawn_worker();
+  void spawn_child(Worker& worker);
+  void kill(Worker& worker);
+  /// Nonblocking: true once the worker is gone. Rethrows what escaped a
+  /// thread worker.
+  bool try_reap(Worker& worker);
+  /// Blocking. For a thread, closes the coordinator's pipe ends first, so
+  /// a loop blocked on a pipe the coordinator no longer serves wakes up.
+  void wait(Worker& worker);
+
   void ensure_workers();
   void reap();
   void check_heartbeats();
   void dispatch();
-  void send_task(Worker& worker, std::size_t shard, bool hedge);
+  /// Dispatches a fresh attempt, or `stolen` (a revoked, unstarted one)
+  /// under its original attempt number.
+  void send_task(Worker& worker, std::size_t shard, bool hedge,
+                 const PendingTask* stolen = nullptr);
   std::optional<std::size_t> pick_hedge() const;
   void poll_and_read();
   void drain_worker(std::size_t index);
@@ -120,6 +169,9 @@ class Coordinator {
   void shutdown_workers();
 
   ShardExecutor executor_;
+  // The thread workers' shared pipeline substrate (kInProcess only).
+  std::unique_ptr<sched::ThreadPool> pool_;
+  std::unique_ptr<sched::WarmModelCache> warm_cache_;
   ManifestWriter& manifest_;
   std::deque<std::size_t> pending_;
   std::vector<QuarantineRecord> quarantined_;

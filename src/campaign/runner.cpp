@@ -1,10 +1,10 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "campaign/coordinator.hpp"
 #include "campaign/worker.hpp"
@@ -12,25 +12,10 @@
 #include "io/fsio.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sched/thread_pool.hpp"
-#include "sched/warm_cache.hpp"
 #include "simd/dispatch.hpp"
 #include "util/stopwatch.hpp"
 
 namespace adaparse::campaign {
-
-struct CampaignRunner::AttemptResult {
-  enum class Kind { kSuccess, kFailed, kCancelled };
-  Kind kind = Kind::kFailed;
-  std::string output;           ///< serialized JSONL (success only)
-  std::size_t records = 0;      ///< lines in `output`
-  std::size_t quarantined_in_shard = 0;
-  /// Size of the quarantine list the attempt ran against; a commit is
-  /// stale (and retried) if the list grew while the attempt was in flight.
-  std::size_t quarantine_snapshot = 0;
-  std::string failed_doc_id;    ///< document the attempt died on
-  double wall_seconds = 0.0;
-};
 
 std::string render_prometheus(const CampaignStats& stats) {
   // Built on the shared obs::Registry renderer. Values go in as doubles —
@@ -129,7 +114,8 @@ std::string CampaignRunner::fingerprint() const {
   return os.str();
 }
 
-void CampaignRunner::stage(const SourceFactory& source, ManifestState& state) {
+void CampaignRunner::stage(const SourceFactory& source,
+                           ManifestWriter& manifest, ManifestState& state) {
   obs::SpanGuard stage_span("campaign", "stage");
   auto stream = source();
   std::vector<doc::Document> chunk;
@@ -151,331 +137,10 @@ void CampaignRunner::stage(const SourceFactory& source, ManifestState& state) {
   flush();
   // The plan record is the staging commit point: a crash before this line
   // re-stages everything; after it, shard files are durable inputs.
-  manifest_->append(plan);
+  manifest.append(plan);
   stage_span.arg("docs", plan.docs);
   stage_span.arg("shards", plan.shard_docs.size());
   state.plan = std::move(plan);
-}
-
-CampaignRunner::AttemptResult CampaignRunner::execute_attempt(
-    const SourceFactory& source, std::size_t shard, std::size_t attempt,
-    std::shared_ptr<std::atomic<bool>> cancel) {
-  // Snapshot the quarantine list under the lock; the attempt itself runs
-  // the shared ShardExecutor logic (identical to a forked worker's).
-  std::vector<std::string> quarantined;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    quarantined.reserve(quarantined_.size());
-    for (const auto& q : quarantined_) quarantined.push_back(q.doc_id);
-  }
-
-  ShardExecutor executor;
-  executor.engine = &engine_;
-  executor.config = &config_;
-  executor.shard_docs = shard_docs_;
-  executor.source = source;
-  executor.pool = pool_;
-  executor.warm_cache = warm_cache_;
-  AttemptOutcome outcome =
-      executor.run_attempt(shard, attempt, quarantined, cancel.get(),
-                           /*on_record=*/nullptr);
-
-  if (outcome.restaged) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.corrupt_shard_recoveries;
-  }
-  AttemptResult result;
-  switch (outcome.kind) {
-    case AttemptOutcome::Kind::kSuccess:
-      result.kind = AttemptResult::Kind::kSuccess;
-      break;
-    case AttemptOutcome::Kind::kFailed:
-      result.kind = AttemptResult::Kind::kFailed;
-      break;
-    case AttemptOutcome::Kind::kCancelled:
-      result.kind = AttemptResult::Kind::kCancelled;
-      break;
-  }
-  result.output = std::move(outcome.output);
-  result.records = outcome.records;
-  result.quarantined_in_shard = outcome.quarantined_in_shard;
-  result.quarantine_snapshot = quarantined.size();
-  result.failed_doc_id = std::move(outcome.failed_doc_id);
-  result.wall_seconds = outcome.wall_seconds;
-  return result;
-}
-
-std::optional<std::size_t> CampaignRunner::pick_hedge_locked() {
-  if (config_.hedge_factor <= 0.0) return std::nullopt;
-  const auto now = std::chrono::steady_clock::now();
-  double threshold_seconds =
-      std::chrono::duration<double>(config_.hedge_min_runtime).count();
-  if (!committed_seconds_.empty()) {
-    std::vector<double> sorted = committed_seconds_;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
-    threshold_seconds =
-        std::max(threshold_seconds, config_.hedge_factor * median);
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardState& st = shards_[i];
-    if (st.phase != ShardState::Phase::kRunning || st.hedged ||
-        st.running_attempts != 1) {
-      continue;
-    }
-    const double elapsed =
-        std::chrono::duration<double>(now - st.started).count();
-    if (elapsed > threshold_seconds) return i;
-  }
-  return std::nullopt;
-}
-
-bool CampaignRunner::commit_locked(std::size_t shard, std::size_t attempt,
-                                   AttemptResult& result) {
-  ShardState& st = shards_[shard];
-  ShardRecord record;
-  record.index = shard;
-  record.attempt = attempt;
-  record.docs = result.records;
-  record.bytes = result.output.size();
-  record.checksum = io::fnv1a(result.output);
-  record.quarantined = result.quarantined_in_shard;
-
-  // The attempt already wrote the output file (before the journal line):
-  // a crash between the two leaves an orphan .out that a resume overwrites.
-  if (config_.failures.tears_commit(shard)) {
-    // The scripted torn write: half the journal line hits disk and the
-    // process "dies". Nothing after this counts as committed.
-    manifest_->append_torn(record);
-    halted_ = true;
-    stats_.halted = true;
-    cv_.notify_all();
-    return false;
-  }
-  manifest_->append(record);
-
-  st.phase = ShardState::Phase::kCommitted;
-  if (st.cancel) st.cancel->store(true);  // stand down any hedge twin
-  ++stats_.shards_committed;
-  ++commits_this_run_;
-  stats_.docs_processed += result.records;
-  committed_seconds_.push_back(result.wall_seconds);
-  if (config_.failures.halt_after_commits &&
-      commits_this_run_ >= *config_.failures.halt_after_commits) {
-    halted_ = true;
-    stats_.halted = true;
-  }
-  cv_.notify_all();
-  return true;
-}
-
-void CampaignRunner::worker_loop(const SourceFactory& source) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    std::optional<std::size_t> shard;
-    bool is_hedge = false;
-    while (!shard) {
-      if (halted_ || error_) return;
-      if (stats_.shards_committed == stats_.shards_total) {
-        cv_.notify_all();
-        return;
-      }
-      if (!pending_.empty()) {
-        shard = pending_.front();
-        pending_.pop_front();
-        break;
-      }
-      if (auto hedge = pick_hedge_locked()) {
-        shard = hedge;
-        is_hedge = true;
-        break;
-      }
-      // Timed wait: hedge thresholds are time-based, so idle workers poll.
-      cv_.wait_for(lock, std::chrono::milliseconds(20));
-    }
-
-    ShardState& st = shards_[*shard];
-    const std::size_t attempt = st.attempts_started++;
-    if (st.phase == ShardState::Phase::kPending) {
-      st.phase = ShardState::Phase::kRunning;
-      st.started = std::chrono::steady_clock::now();
-      st.cancel = std::make_shared<std::atomic<bool>>(false);
-    }
-    ++st.running_attempts;
-    if (is_hedge) {
-      st.hedged = true;
-      ++stats_.hedges_launched;
-    }
-    ++stats_.attempts_started;
-    auto cancel = st.cancel;
-    lock.unlock();
-
-    AttemptResult result;
-    try {
-      result = execute_attempt(source, *shard, attempt, cancel);
-    } catch (...) {
-      lock.lock();
-      if (!error_) error_ = std::current_exception();
-      --shards_[*shard].running_attempts;
-      cv_.notify_all();
-      return;
-    }
-
-    lock.lock();
-    ShardState& post = shards_[*shard];
-    --post.running_attempts;
-    // Requeue the shard — unless a twin attempt is still running, in which
-    // case its own completion will commit or requeue (replacing st.cancel
-    // under a live twin would orphan the twin's cancellation flag, and a
-    // premature pending entry could dispatch a third concurrent attempt).
-    const auto requeue_locked = [&](std::size_t index) {
-      ShardState& s = shards_[index];
-      if (s.running_attempts > 0) return;
-      s.phase = ShardState::Phase::kPending;
-      s.hedged = false;
-      pending_.push_back(index);
-      cv_.notify_all();
-    };
-    if (halted_ || post.phase == ShardState::Phase::kCommitted) {
-      // The process "died" or a twin already committed: this attempt's
-      // work is lost — exactly what recovery_wall_seconds measures.
-      stats_.recovery_wall_seconds += result.wall_seconds;
-      continue;
-    }
-    switch (result.kind) {
-      case AttemptResult::Kind::kSuccess: {
-        bool stale = false;
-        for (std::size_t qi = result.quarantine_snapshot;
-             qi < quarantined_.size(); ++qi) {
-          if (quarantined_[qi].shard == *shard) {
-            stale = true;
-            break;
-          }
-        }
-        if (stale) {
-          // A sibling attempt quarantined one of *this shard's* documents
-          // while this attempt was in flight: its output was built against
-          // a stale document list and must not commit (the journal already
-          // promises the quarantine). Retry with the current list.
-          stats_.recovery_wall_seconds += result.wall_seconds;
-          ++stats_.shards_retried;
-          requeue_locked(*shard);
-          break;
-        }
-        // Claim the commit under the lock (first finisher wins; a twin can
-        // no longer write or commit this shard), then do the output-file
-        // write off the lock so commits don't serialize every worker
-        // behind disk I/O, then journal.
-        post.phase = ShardState::Phase::kCommitted;
-        lock.unlock();
-        try {
-          io::write_file_atomic(shard_output_path(*shard), result.output);
-        } catch (...) {
-          lock.lock();
-          if (!error_) error_ = std::current_exception();
-          shards_[*shard].phase = ShardState::Phase::kPending;
-          cv_.notify_all();
-          return;
-        }
-        lock.lock();
-        if (halted_) {
-          // The scripted kill landed while this commit's file was being
-          // written; the journal line must not follow. The orphan .out is
-          // overwritten on resume.
-          shards_[*shard].phase = ShardState::Phase::kPending;
-          stats_.recovery_wall_seconds += result.wall_seconds;
-          break;
-        }
-        if (commit_locked(*shard, attempt, result)) {
-          if (is_hedge) ++stats_.hedges_won;
-        } else {
-          // Torn commit: the journal line never landed, so the attempt's
-          // work is lost exactly like any other uncommitted attempt.
-          shards_[*shard].phase = ShardState::Phase::kPending;
-          stats_.recovery_wall_seconds += result.wall_seconds;
-        }
-        break;
-      }
-      case AttemptResult::Kind::kCancelled:
-        // Only reachable when the shard committed or halted (handled
-        // above), but requeue defensively so no shard can strand in
-        // kRunning with nothing in flight.
-        stats_.recovery_wall_seconds += result.wall_seconds;
-        requeue_locked(*shard);
-        break;
-      case AttemptResult::Kind::kFailed: {
-        ++stats_.attempts_failed;
-        stats_.recovery_wall_seconds += result.wall_seconds;
-        ++post.failures;
-        if (post.failures >= config_.max_shard_attempts &&
-            !result.failed_doc_id.empty()) {
-          // The shard keeps dying on the same document: quarantine it so
-          // the corpus can make progress. Journaled before the requeue so
-          // a resume replays the same decision.
-          QuarantineRecord q;
-          q.shard = *shard;
-          q.doc_id = result.failed_doc_id;
-          quarantined_.push_back(q);
-          manifest_->append(q);
-          ++stats_.docs_quarantined;
-          post.failures = 0;
-        }
-        ++stats_.shards_retried;
-        requeue_locked(*shard);
-        break;
-      }
-    }
-  }
-}
-
-void CampaignRunner::run_in_process(const SourceFactory& source) {
-  sched::ThreadPool pool(config_.workers *
-                         (config_.extract_workers + config_.upgrade_workers));
-  sched::WarmModelCache warm_cache(/*enabled=*/true);
-  pool_ = &pool;
-  warm_cache_ = &warm_cache;
-  std::vector<std::thread> workers;
-  workers.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w) {
-    workers.emplace_back([this, &source] { worker_loop(source); });
-  }
-  for (auto& worker : workers) worker.join();
-  pool_ = nullptr;
-  warm_cache_ = nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (error_) std::rethrow_exception(error_);
-}
-
-void CampaignRunner::run_multi_process(const SourceFactory& source) {
-  // No shared pool or warm cache: every forked worker owns a private pair
-  // sized for one shard attempt. The executor is inherited by the children
-  // via the fork's memory image — trained engine included, no
-  // serialization.
-  ShardExecutor executor;
-  executor.engine = &engine_;
-  executor.config = &config_;
-  executor.shard_docs = shard_docs_;
-  executor.source = source;
-
-  std::deque<std::size_t> pending;
-  std::vector<QuarantineRecord> quarantined;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending = pending_;
-    quarantined = quarantined_;
-  }
-  Coordinator coordinator(
-      std::move(executor), *manifest_, std::move(pending),
-      std::move(quarantined),
-      // All stats mutations funnel through the runner's mutex, so
-      // snapshot() stays a coherent live view during a multi-process run.
-      [this](const std::function<void(CampaignStats&)>& fn) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        fn(stats_);
-      });
-  const bool halted = coordinator.run();
-  std::lock_guard<std::mutex> lock(mutex_);
-  halted_ = halted;
 }
 
 CampaignStats CampaignRunner::run(const SourceFactory& source) {
@@ -505,16 +170,8 @@ CampaignStats CampaignRunner::run(const SourceFactory& source) {
   }
 
   std::filesystem::create_directories(config_.dir);
-
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    pending_.clear();
-    shards_.clear();
-    committed_seconds_.clear();
-    quarantined_.clear();
-    commits_this_run_ = 0;
-    halted_ = false;
-    error_ = nullptr;
     stats_ = CampaignStats{};
   }
 
@@ -527,7 +184,7 @@ CampaignStats CampaignRunner::run(const SourceFactory& source) {
     std::lock_guard<std::mutex> lock(mutex_);  // snapshot() may be polling
     stats_.recovered_torn_manifest = true;
   }
-  manifest_ = std::make_unique<ManifestWriter>(manifest_path());
+  ManifestWriter manifest(manifest_path());
   if (state.plan) {
     if (state.plan->fingerprint != fingerprint()) {
       throw std::runtime_error(
@@ -536,102 +193,106 @@ CampaignStats CampaignRunner::run(const SourceFactory& source) {
           "') — committed shards would not be reproducible");
     }
   } else {
-    stage(source, state);
+    stage(source, manifest, state);
   }
-  shard_docs_ = state.plan->shard_docs;
+  const std::vector<std::size_t>& shard_docs = state.plan->shard_docs;
 
+  std::deque<std::size_t> pending;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.shards_total = shard_docs_.size();
-    shards_.assign(shard_docs_.size(), ShardState{});
-    for (const auto& q : state.quarantines) quarantined_.push_back(q);
-    for (std::size_t i = 0; i < shard_docs_.size(); ++i) {
+    stats_.shards_total = shard_docs.size();
+    for (std::size_t i = 0; i < shard_docs.size(); ++i) {
       if (auto it = state.shards.find(i); it != state.shards.end()) {
         // Trust, but verify: a committed shard whose output file is gone
         // or damaged is demoted back to pending (re-execution is
         // deterministic, so the final bytes are unaffected).
         const auto bytes = io::read_file(shard_output_path(i));
         if (bytes && io::fnv1a(*bytes) == it->second.checksum) {
-          shards_[i].phase = ShardState::Phase::kCommitted;
           ++stats_.shards_committed;
           ++stats_.shards_resumed_skip;
           continue;
         }
         ++stats_.corrupt_output_recoveries;
       }
-      pending_.push_back(i);
+      pending.push_back(i);
     }
     if (stats_.shards_resumed_skip > 0) {
       obs::Tracer::instance().instant(
           "campaign", "resume", "skipped",
           static_cast<std::uint64_t>(stats_.shards_resumed_skip), "pending",
-          static_cast<std::uint64_t>(pending_.size()));
+          static_cast<std::uint64_t>(pending.size()));
     }
   }
 
   // Already assembled and intact? Then this run is a cheap no-op: don't
   // re-read every shard output or append a duplicate final record.
-  if (state.final_record) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (pending_.empty()) {
-      const auto bytes = io::read_file(output_path());
-      if (bytes && io::fnv1a(*bytes) == state.final_record->checksum) {
-        stats_.completed = true;
-        stats_.wall_seconds = wall.seconds();
-        return stats_;
-      }
+  if (state.final_record && pending.empty()) {
+    const auto bytes = io::read_file(output_path());
+    if (bytes && io::fnv1a(*bytes) == state.final_record->checksum) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stats_.completed = true;
+      stats_.wall_seconds = wall.seconds();
+      return stats_;
     }
   }
 
   // Scripted at-rest corruption: damage the named shard files before any
   // worker reads them (committed shards no longer read their inputs).
   for (const std::size_t shard : config_.failures.corrupt_shards) {
-    if (shard >= shards_.size()) continue;
-    if (shards_[shard].phase == ShardState::Phase::kCommitted) continue;
+    if (std::find(pending.begin(), pending.end(), shard) == pending.end()) {
+      continue;
+    }
     if (auto bytes = io::read_file(shard_path(shard))) {
       io::write_file_atomic(shard_path(shard),
                             std::string_view(*bytes).substr(0, bytes->size() / 2));
     }
   }
 
-  const bool have_work = [&] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return !pending_.empty();
-  }();
-  if (have_work) {
-    if (config_.execution == CampaignConfig::ExecutionMode::kMultiProcess) {
-      run_multi_process(source);
-    } else {
-      run_in_process(source);
-    }
+  bool halted = false;
+  if (!pending.empty()) {
+    // Forked workers inherit the executor through the fork's memory image —
+    // trained engine included, no serialization.
+    ShardExecutor executor;
+    executor.engine = &engine_;
+    executor.config = &config_;
+    executor.shard_docs = shard_docs;
+    executor.source = source;
+    Coordinator coordinator(
+        std::move(executor), manifest, std::move(pending),
+        std::move(state.quarantines),
+        // All stats mutations funnel through the runner's mutex, so
+        // snapshot() stays a coherent live view mid-run.
+        [this](const std::function<void(CampaignStats&)>& fn) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          fn(stats_);
+        });
+    halted = coordinator.run();
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!halted_) {
-      // All shards durable: assemble under the lock (nothing else runs).
-      std::string all;
-      for (std::size_t i = 0; i < shard_docs_.size(); ++i) {
-        const auto bytes = io::read_file(shard_output_path(i));
-        if (!bytes) {
-          throw std::runtime_error("campaign: committed shard output missing: " +
-                                   shard_output_path(i));
-        }
-        all += *bytes;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!halted) {
+    // All shards durable: assemble (no worker is left running).
+    std::string all;
+    for (std::size_t i = 0; i < shard_docs.size(); ++i) {
+      const auto bytes = io::read_file(shard_output_path(i));
+      if (!bytes) {
+        throw std::runtime_error("campaign: committed shard output missing: " +
+                                 shard_output_path(i));
       }
-      io::write_file_atomic(output_path(), all);
-      FinalRecord fin;
-      fin.records = static_cast<std::size_t>(
-          std::count(all.begin(), all.end(), '\n'));
-      fin.checksum = io::fnv1a(all);
-      manifest_->append(fin);
-      stats_.completed = true;
+      all += *bytes;
     }
-    stats_.wall_seconds = wall.seconds();
-    run_span.arg("docs", stats_.docs_processed);
-    run_span.arg("shards", stats_.shards_committed);
-    return stats_;
+    io::write_file_atomic(output_path(), all);
+    FinalRecord fin;
+    fin.records =
+        static_cast<std::size_t>(std::count(all.begin(), all.end(), '\n'));
+    fin.checksum = io::fnv1a(all);
+    manifest.append(fin);
+    stats_.completed = true;
   }
+  stats_.wall_seconds = wall.seconds();
+  run_span.arg("docs", stats_.docs_processed);
+  run_span.arg("shards", stats_.shards_committed);
+  return stats_;
 }
 
 CampaignStats CampaignRunner::snapshot() const {

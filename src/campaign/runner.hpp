@@ -7,11 +7,11 @@
 //   stage    pull the corpus, pack it into durable shard files
 //            (io::pack_corpus_shard, the paper's §6.1 archive staging),
 //            then commit a plan record
-//   execute  N workers each drive one shard at a time through a
-//            core::Pipeline — either threads in this process sharing one
-//            ThreadPool + WarmModelCache, or forked worker processes
-//            supervised by a campaign::Coordinator (see
-//            CampaignConfig::execution); a finished shard's output is
+//   execute  a campaign::Coordinator (campaign/coordinator.hpp) schedules
+//            the uncommitted shards over N workers, each driving one shard
+//            at a time through a core::Pipeline. The workers are threads in
+//            this process or forked processes (CampaignConfig::execution);
+//            the scheduling policy is the same. A finished shard's output is
 //            renamed into place and a shard record appended — the commit
 //            point
 //   assemble concatenate committed shard outputs in shard order into
@@ -21,7 +21,7 @@
 // per-batch floor(alpha*k) budget applied within each shard) and commits
 // are atomic (rename + journal append), a run killed at any shard
 // boundary and resumed produces byte-identical output to an uninterrupted
-// run. Recovery machinery on top:
+// run. Recovery machinery on top, all in the coordinator:
 //
 //   retry        a failed attempt requeues the shard
 //   quarantine   a document that kills max_shard_attempts consecutive
@@ -29,21 +29,17 @@
 //                quarantine record
 //   re-staging   a corrupt shard file is rebuilt from the source
 //   hedging      a straggling shard is re-dispatched to an idle worker;
-//                the first finisher commits, the loser is cancelled
+//                the first finisher commits
 //
 // Faults are injected via a scripted FailurePlan (campaign/failure.hpp) so
 // every scenario is deterministic and replayable in tests.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,11 +48,6 @@
 #include "core/doc_source.hpp"
 #include "core/engine.hpp"
 
-namespace adaparse::sched {
-class ThreadPool;
-class WarmModelCache;
-}  // namespace adaparse::sched
-
 namespace adaparse::campaign {
 
 struct CampaignConfig {
@@ -64,14 +55,13 @@ struct CampaignConfig {
   /// final output.jsonl all live here. Created if absent.
   std::string dir;
 
-  /// How shard attempts execute:
-  ///   kInProcess     N threads in this process (the PR 5 model; scripted
-  ///                  faults only)
-  ///   kMultiProcess  a coordinator in this process supervising N forked
-  ///                  worker processes over pipes — faults are real
-  ///                  (SIGKILL, OOM, lost children detected via waitpid
-  ///                  and missed heartbeats)
-  /// Both modes share the shard plan, the commit protocol, and the
+  /// Which transport the coordinator's N workers use:
+  ///   kInProcess     threads in this process sharing one pool and warm
+  ///                  cache; scripted crashes are simulated
+  ///   kMultiProcess  forked worker processes — faults are real (SIGKILL,
+  ///                  OOM, lost children detected via waitpid and missed
+  ///                  heartbeats)
+  /// Both modes run the same scheduler, shard plan, commit protocol, and
   /// manifest, so output is byte-identical across modes and a campaign
   /// killed in one mode can resume in the other.
   enum class ExecutionMode { kInProcess, kMultiProcess };
@@ -85,26 +75,29 @@ struct CampaignConfig {
   /// a time.
   std::size_t workers = 2;
 
-  /// kMultiProcess: shards pre-assigned per worker (one running plus
-  /// depth-1 queued), so a worker never idles waiting for a dispatch
-  /// round-trip. Queued-but-unstarted shards are what the coordinator
-  /// steals back for idle workers.
+  /// Shards pre-assigned per worker (one running plus depth-1 queued), so
+  /// a worker never idles waiting for a dispatch round-trip.
+  /// Queued-but-unstarted shards are what the coordinator steals back for
+  /// idle workers.
   std::size_t worker_queue_depth = 2;
 
-  /// kMultiProcess: a worker with assigned work that has sent no
-  /// heartbeat/result for this long is presumed lost (hung, not dead —
-  /// waitpid catches dead) and is SIGKILLed; its shards requeue.
+  /// A worker with assigned work that has sent no heartbeat/result for
+  /// this long is presumed lost (hung, not dead — reaping catches dead)
+  /// and is killed; its shards requeue. A worker process gets SIGKILL; a
+  /// thread worker's kill only cancels its attempt, so a thread stuck
+  /// outside the pipeline's cancellation points stays stuck.
   std::chrono::milliseconds heartbeat_timeout{30000};
 
-  /// kMultiProcess: replacement workers forked over one run() before the
-  /// coordinator gives up — a backstop against a crash loop, set far
-  /// above any plausible recovery count.
+  /// Replacement workers started over one run() before the coordinator
+  /// gives up — a backstop against a crash loop, set far above any
+  /// plausible recovery count.
   std::size_t max_worker_respawns = 256;
 
-  /// Per-shard pipeline width; the shared pool is sized
+  /// Per-shard pipeline width. Thread workers share one pool sized
   /// workers * (extract_workers + upgrade_workers) so every concurrent
   /// shard can run its full complement (the shared-pool deadlock-free
-  /// minimum, same rule as serve::ParseService).
+  /// minimum, same rule as serve::ParseService); a worker process owns a
+  /// pool of extract_workers + upgrade_workers.
   std::size_t extract_workers = 2;
   std::size_t upgrade_workers = 1;
   std::size_t queue_capacity = 16;
@@ -139,10 +132,10 @@ struct CampaignStats {
   std::size_t corrupt_shard_recoveries = 0;   ///< shard files re-staged
   std::size_t corrupt_output_recoveries = 0;  ///< committed outputs re-run
   bool recovered_torn_manifest = false;  ///< resume dropped a torn tail
-  // Multi-process supervision (kMultiProcess runs only):
-  std::size_t workers_spawned = 0;   ///< forks, initial + respawns
-  std::size_t workers_died = 0;      ///< child deaths observed via waitpid
-  std::size_t workers_killed = 0;    ///< SIGKILLed for missed heartbeats
+  // Worker supervision (threads or processes):
+  std::size_t workers_spawned = 0;   ///< initial + respawns
+  std::size_t workers_died = 0;      ///< processes reaped, threads exited
+  std::size_t workers_killed = 0;    ///< killed for missed heartbeats
   std::size_t shards_stolen = 0;     ///< queued shards moved off stragglers
   /// Wall-clock spent in attempts that did not commit (failed, cancelled,
   /// or lost hedges) — the price of recovery.
@@ -168,8 +161,7 @@ class CampaignRunner {
   using SourceFactory =
       std::function<std::unique_ptr<core::DocumentSource>()>;
 
-  /// The engine must outlive the runner. The runner owns its worker pool
-  /// and warm cache for the duration of run().
+  /// The engine must outlive the runner.
   CampaignRunner(const core::AdaParseEngine& engine, CampaignConfig config);
 
   /// Runs the campaign to completion — or resumes one: committed shards
@@ -177,7 +169,8 @@ class CampaignRunner {
   /// the final stats; stats().halted means the scripted kill fired and a
   /// later run() picks up from the journal. Throws std::runtime_error on
   /// unrecoverable corruption or an engine-config mismatch with the
-  /// manifest's fingerprint.
+  /// manifest's fingerprint; in kInProcess mode, an exception escaping a
+  /// shard attempt propagates with its own message.
   CampaignStats run(const SourceFactory& source);
 
   /// Thread-safe live view (usable from another thread mid-run).
@@ -191,54 +184,15 @@ class CampaignRunner {
   const CampaignConfig& config() const { return config_; }
 
  private:
-  struct ShardState {
-    enum class Phase { kPending, kRunning, kCommitted };
-    Phase phase = Phase::kPending;
-    std::size_t attempts_started = 0;
-    /// Consecutive failed attempts since the last quarantine decision.
-    std::size_t failures = 0;
-    std::size_t running_attempts = 0;
-    bool hedged = false;
-    std::chrono::steady_clock::time_point started{};
-    std::shared_ptr<std::atomic<bool>> cancel;
-  };
-  struct AttemptResult;
-
   std::string fingerprint() const;
-  void stage(const SourceFactory& source, ManifestState& state);
-  AttemptResult execute_attempt(const SourceFactory& source,
-                                std::size_t shard, std::size_t attempt,
-                                std::shared_ptr<std::atomic<bool>> cancel);
-  void worker_loop(const SourceFactory& source);
-  void run_in_process(const SourceFactory& source);
-  void run_multi_process(const SourceFactory& source);
-  std::optional<std::size_t> pick_hedge_locked();
-  /// Appends the shard's commit record and updates state; returns false
-  /// when the scripted torn write fired and nothing durably committed.
-  bool commit_locked(std::size_t shard, std::size_t attempt,
-                     AttemptResult& result);
+  void stage(const SourceFactory& source, ManifestWriter& manifest,
+             ManifestState& state);
 
   const core::AdaParseEngine& engine_;
   CampaignConfig config_;
-  std::vector<std::size_t> shard_docs_;  ///< documents per shard (plan)
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::size_t> pending_;
-  std::vector<ShardState> shards_;
-  std::vector<double> committed_seconds_;  ///< durations of commits this run
-  std::unique_ptr<ManifestWriter> manifest_;
-  /// Quarantined documents (manifest + this run), with their shard — so a
-  /// commit staleness check can ignore quarantines in unrelated shards.
-  std::vector<QuarantineRecord> quarantined_;
-  std::size_t commits_this_run_ = 0;
-  bool halted_ = false;
-  std::exception_ptr error_;
+  mutable std::mutex mutex_;  ///< guards stats_ (snapshot() polls mid-run)
   CampaignStats stats_;
-
-  // Shared execution substrate, live only inside run().
-  sched::ThreadPool* pool_ = nullptr;
-  sched::WarmModelCache* warm_cache_ = nullptr;
 };
 
 }  // namespace adaparse::campaign

@@ -133,13 +133,13 @@ AttemptOutcome ShardExecutor::run_attempt(
   }
   const std::size_t runnable = run_docs.size();
 
-  // --- Scripted failure points for this attempt. In-process, a scripted
-  // worker crash truncates the attempt and discards its output (the PR 5
-  // simulation); in a worker process (real_crashes) the same script
+  // --- Scripted failure points for this attempt. On a thread worker, a
+  // scripted worker crash truncates the attempt and discards its output (a
+  // simulated death); in a worker process (real_crashes) the same script
   // SIGKILLs the process after emitting `after_docs` records, so the
   // supervision path under test is waitpid, not a return value. Poison
-  // documents truncate in both modes — the attempt reports the document it
-  // died on, which the quarantine decision needs verbatim.
+  // documents truncate on both transports — the attempt reports the
+  // document it died on, which the quarantine decision needs verbatim.
   const std::optional<std::size_t> crash =
       config->failures.crash_after(shard, attempt);
   std::optional<std::size_t> fail_after;
@@ -179,7 +179,7 @@ AttemptOutcome ShardExecutor::run_attempt(
                                    cancel](std::size_t emitted) {
       // Heartbeat first: a death at this record must leave `emitted` as
       // the last progress the coordinator saw, so its quarantine suspect
-      // matches the in-process attempt's failed_doc_id exactly.
+      // matches a simulated crash's failed_doc_id exactly.
       if (on_record) on_record(emitted);
       if (kill_at && emitted == *kill_at) die_by_sigkill();
       if (delay.count() > 0 && (!cancel || !cancel->load())) {
@@ -236,11 +236,116 @@ AttemptOutcome ShardExecutor::run_attempt(
   return result;
 }
 
+void run_task_loop(const ShardExecutor& executor, int task_fd,
+                   int result_fd, const std::atomic<bool>* cancel,
+                   const std::function<void()>& after_result) {
+  proc::Pipe::set_nonblocking(task_fd);
+  proc::FrameDecoder decoder;
+  std::deque<proc::Message> tasks;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> revoked;
+  bool shutdown = false;
+  bool coordinator_gone = false;
+  const auto cancelled = [cancel] { return cancel && cancel->load(); };
+
+  const auto pump = [&](int timeout_ms) {
+    struct pollfd pfd {
+      task_fd, POLLIN, 0
+    };
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return;
+    std::string bytes;
+    if (!proc::read_available(task_fd, bytes)) coordinator_gone = true;
+    decoder.feed(bytes);
+    try {
+      while (auto message = decoder.next()) {
+        switch (message->type) {
+          case proc::MsgType::kTask:
+            tasks.push_back(std::move(*message));
+            break;
+          case proc::MsgType::kRevoke:
+            revoked.emplace_back(message->shard, message->attempt);
+            break;
+          case proc::MsgType::kShutdown:
+            shutdown = true;
+            break;
+          default:
+            break;  // not a coordinator->worker message; ignore
+        }
+      }
+    } catch (const std::runtime_error&) {
+      coordinator_gone = true;  // corrupt frame: the pipe is broken
+    }
+  };
+
+  while (!shutdown && !cancelled()) {
+    if (tasks.empty()) {
+      if (coordinator_gone) break;  // EOF with nothing queued: we're done
+      pump(/*timeout_ms=*/200);
+      continue;
+    }
+    pump(/*timeout_ms=*/0);  // absorb revokes that raced in with this task
+    const proc::Message task = tasks.front();
+    tasks.pop_front();
+    const auto revocation =
+        std::find(revoked.begin(), revoked.end(),
+                  std::make_pair(task.shard, task.attempt));
+    if (revocation != revoked.end()) {
+      revoked.erase(revocation);  // stolen before we started it
+      continue;
+    }
+
+    proc::Message heartbeat;
+    heartbeat.type = proc::MsgType::kHeartbeat;
+    heartbeat.shard = task.shard;
+    heartbeat.attempt = task.attempt;
+    heartbeat.docs_done = 0;
+    proc::write_all(result_fd, proc::encode_frame(heartbeat));
+    // Fires on the pipeline's writer thread; the loop's own thread is
+    // parked inside run_attempt until the run finishes, so the result pipe
+    // has exactly one writer at a time.
+    const auto on_record = [&heartbeat, result_fd](std::size_t emitted) {
+      heartbeat.docs_done = emitted;
+      proc::write_all(result_fd, proc::encode_frame(heartbeat));
+    };
+    const AttemptOutcome outcome = executor.run_attempt(
+        static_cast<std::size_t>(task.shard),
+        static_cast<std::size_t>(task.attempt), task.quarantine, cancel,
+        on_record);
+    // Killed mid-attempt: report nothing, exactly like a SIGKILLed process.
+    if (cancelled()) break;
+
+    proc::Message result;
+    result.type = proc::MsgType::kResult;
+    result.shard = task.shard;
+    result.attempt = task.attempt;
+    result.restaged = outcome.restaged ? 1 : 0;
+    result.wall_ms = static_cast<std::uint64_t>(outcome.wall_seconds * 1e3);
+    if (outcome.kind == AttemptOutcome::Kind::kSuccess) {
+      // The output file is atomically renamed into place *before* the
+      // result message, and only the coordinator's journal append makes it
+      // durable. A death between the two leaves an orphan .out that a
+      // resume overwrites.
+      io::write_file_atomic(
+          shard_output_file_path(executor.config->dir,
+                                 static_cast<std::size_t>(task.shard)),
+          outcome.output);
+      result.status = 0;
+      result.records = outcome.records;
+      result.bytes = outcome.output.size();
+      result.checksum = io::fnv1a(outcome.output);
+      result.quarantined = outcome.quarantined_in_shard;
+    } else {
+      result.status = 1;
+      result.failed_doc_id = outcome.failed_doc_id;
+    }
+    if (!proc::write_all(result_fd, proc::encode_frame(result))) break;
+    if (after_result) after_result();
+  }
+}
+
 int worker_main(const ShardExecutor& executor, int task_fd, int result_fd) {
   // The coordinator can vanish (its own process killed); writes must fail
   // with EPIPE, not kill us with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
-  proc::Pipe::set_nonblocking(task_fd);
 
   // Tracing across the fork boundary: drop the ring contents inherited from
   // the coordinator (it still owns those records) and re-stamp our pid; the
@@ -281,112 +386,10 @@ int worker_main(const ShardExecutor& executor, int task_fd, int result_fd) {
   local.pool = &pool;
   local.warm_cache = &warm_cache;
   local.real_crashes = true;
-
-  proc::FrameDecoder decoder;
-  std::deque<proc::Message> tasks;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> revoked;
-  bool shutdown = false;
-  bool coordinator_gone = false;
-
-  const auto pump = [&](int timeout_ms) {
-    struct pollfd pfd {
-      task_fd, POLLIN, 0
-    };
-    if (::poll(&pfd, 1, timeout_ms) <= 0) return;
-    std::string bytes;
-    if (!proc::read_available(task_fd, bytes)) coordinator_gone = true;
-    decoder.feed(bytes);
-    try {
-      while (auto message = decoder.next()) {
-        switch (message->type) {
-          case proc::MsgType::kTask:
-            tasks.push_back(std::move(*message));
-            break;
-          case proc::MsgType::kRevoke:
-            revoked.emplace_back(message->shard, message->attempt);
-            break;
-          case proc::MsgType::kShutdown:
-            shutdown = true;
-            break;
-          default:
-            break;  // not a coordinator->worker message; ignore
-        }
-      }
-    } catch (const std::runtime_error&) {
-      coordinator_gone = true;  // corrupt frame: the pipe is broken
-    }
-  };
-
-  while (!shutdown) {
-    if (tasks.empty()) {
-      if (coordinator_gone) break;  // EOF with nothing queued: we're done
-      pump(/*timeout_ms=*/200);
-      continue;
-    }
-    pump(/*timeout_ms=*/0);  // absorb revokes that raced in with this task
-    const proc::Message task = tasks.front();
-    tasks.pop_front();
-    const auto revocation =
-        std::find(revoked.begin(), revoked.end(),
-                  std::make_pair(task.shard, task.attempt));
-    if (revocation != revoked.end()) {
-      revoked.erase(revocation);  // stolen before we started it
-      continue;
-    }
-
-    proc::Message heartbeat;
-    heartbeat.type = proc::MsgType::kHeartbeat;
-    heartbeat.shard = task.shard;
-    heartbeat.attempt = task.attempt;
-    heartbeat.docs_done = 0;
-    proc::write_all(result_fd, proc::encode_frame(heartbeat));
-    // Fires on the pipeline's writer thread; the worker's main thread is
-    // parked inside run_attempt until the run finishes, so the result pipe
-    // has exactly one writer at a time.
-    const auto on_record = [&heartbeat, result_fd](std::size_t emitted) {
-      heartbeat.docs_done = emitted;
-      proc::write_all(result_fd, proc::encode_frame(heartbeat));
-    };
-
-    AttemptOutcome outcome;
-    try {
-      outcome = local.run_attempt(static_cast<std::size_t>(task.shard),
-                                  static_cast<std::size_t>(task.attempt),
-                                  task.quarantine, nullptr, on_record);
-    } catch (...) {
-      return 3;  // unrecoverable here; the coordinator requeues our work
-    }
-
-    proc::Message result;
-    result.type = proc::MsgType::kResult;
-    result.shard = task.shard;
-    result.attempt = task.attempt;
-    result.restaged = outcome.restaged ? 1 : 0;
-    result.wall_ms = static_cast<std::uint64_t>(outcome.wall_seconds * 1e3);
-    if (outcome.kind == AttemptOutcome::Kind::kSuccess) {
-      // The commit protocol is unchanged from in-process mode: the output
-      // file is atomically renamed into place *before* the result message,
-      // and only the coordinator's journal append makes it durable. A
-      // SIGKILL between the two leaves an orphan .out a resume overwrites.
-      try {
-        io::write_file_atomic(
-            shard_output_file_path(local.config->dir,
-                                   static_cast<std::size_t>(task.shard)),
-            outcome.output);
-      } catch (...) {
-        return 4;
-      }
-      result.status = 0;
-      result.records = outcome.records;
-      result.bytes = outcome.output.size();
-      result.checksum = io::fnv1a(outcome.output);
-      result.quarantined = outcome.quarantined_in_shard;
-    } else {
-      result.status = 1;
-      result.failed_doc_id = outcome.failed_doc_id;
-    }
-    if (!proc::write_all(result_fd, proc::encode_frame(result))) break;
-    flush_spans();
+  try {
+    run_task_loop(local, task_fd, result_fd, /*cancel=*/nullptr, flush_spans);
+  } catch (...) {
+    return 3;  // unrecoverable here; the coordinator requeues our work
   }
   flush_spans();
   return 0;

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -472,6 +474,30 @@ TEST_F(CampaignFixture, CorruptShardFileIsRestagedFromSource) {
   EXPECT_TRUE(stats.completed);
   EXPECT_GE(stats.corrupt_shard_recoveries, 1u);
   EXPECT_EQ(output_bytes(runner), reference_bytes());
+}
+
+TEST_F(CampaignFixture, ExceptionInAnAttemptPropagatesOutOfRun) {
+  // Shard 1 is corrupt at rest and the source shrinks after staging, so
+  // re-staging throws inside the attempt. That error must leave run() with
+  // its own message — a retry would only hit it again, so it must not turn
+  // into a worker respawn loop.
+  static const std::vector<doc::Document> empty;
+  auto config = base_config("attempt_throws");
+  config.failures.corrupt_shards = {1};
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  CampaignRunner runner(*bundle_->llm, config);
+  try {
+    runner.run([calls]() -> std::unique_ptr<core::DocumentSource> {
+      if (calls->fetch_add(1) == 0) {
+        return std::make_unique<core::VectorSource>(*docs_);
+      }
+      return std::make_unique<core::VectorSource>(empty);
+    });
+    FAIL() << "run() returned instead of throwing";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("source shrank"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(CampaignFixture, TornManifestCommitIsRedoneOnResume) {

@@ -8,7 +8,6 @@
 #include "ml/encoder.hpp"
 #include "ml/feature_hash.hpp"
 #include "ml/linear.hpp"
-#include "ml/mlp.hpp"
 #include "ml/sparse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -310,44 +309,6 @@ TEST(Svc, DecisionVectorHasOneScorePerClass) {
   EXPECT_EQ(model.decision(v).size(), 5U);
 }
 
-// ---------------------------------------------------------------- mlp ----
-
-TEST(MlpTest, LearnsNonlinearFunction) {
-  // XOR-like target over two indicator features — impossible for a linear
-  // model, learnable by one hidden layer.
-  util::Rng rng(17);
-  std::vector<SparseVec> inputs;
-  std::vector<std::vector<double>> targets;
-  for (int i = 0; i < 800; ++i) {
-    const bool a = rng.chance(0.5);
-    const bool b = rng.chance(0.5);
-    SparseVec v;
-    if (a) v.push_back({0, 1.0F});
-    if (b) v.push_back({1, 1.0F});
-    v.push_back({2, 1.0F});  // bias-ish always-on feature
-    inputs.push_back(v);
-    targets.push_back({a != b ? 1.0 : 0.0});
-  }
-  Mlp model(8, 16, 1);
-  TrainOptions options;
-  options.epochs = 60;
-  options.learning_rate = 0.3;
-  model.fit(inputs, targets, options);
-  int correct = 0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const double p = model.predict(inputs[i])[0];
-    correct += (p > 0.5) == (targets[i][0] > 0.5) ? 1 : 0;
-  }
-  EXPECT_GT(correct, 700);
-}
-
-TEST(MlpTest, OutputShape) {
-  Mlp model(8, 4, 3);
-  EXPECT_EQ(model.predict({{0, 1.0F}}).size(), 3U);
-  EXPECT_EQ(model.hidden_size(), 4U);
-  EXPECT_EQ(model.outputs(), 3U);
-}
-
 // ---------------------------------------------------------------- dpo ----
 
 TEST(Dpo, AdapterStartsAtReference) {
@@ -427,61 +388,6 @@ TEST(Dpo, EmptyPairsIsNoOp) {
   adapter.fit({});
   SparseVec x = {{0, 1.0F}};
   EXPECT_EQ(adapter.delta(x)[0], 0.0);
-}
-
-}  // namespace
-}  // namespace adaparse::ml
-
-// ---------------------------------------------------------- serialize ----
-
-#include "ml/serialize.hpp"
-
-namespace adaparse::ml {
-namespace {
-
-TEST(Serialize, RegressorRoundTrip) {
-  const auto data = make_regression(100, 64, 3, 0.05, 31);
-  MultiOutputRegressor model(64, 3);
-  model.fit(data.inputs, data.targets);
-  const auto restored = load_regressor(save_regressor(model));
-  EXPECT_EQ(restored.input_dim(), model.input_dim());
-  EXPECT_EQ(restored.outputs(), model.outputs());
-  for (std::size_t i = 0; i < 20; ++i) {
-    const auto a = model.predict(data.inputs[i]);
-    const auto b = restored.predict(data.inputs[i]);
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_NEAR(a[k], b[k], 1e-9);
-    }
-  }
-}
-
-TEST(Serialize, UntrainedModelRoundTrips) {
-  MultiOutputRegressor model(16, 2);
-  const auto restored = load_regressor(save_regressor(model));
-  SparseVec x = {{3, 1.0F}};
-  EXPECT_EQ(restored.predict(x)[0], model.predict(x)[0]);
-}
-
-TEST(Serialize, RejectsWrongFormat) {
-  EXPECT_THROW(load_regressor("{}"), std::runtime_error);
-  EXPECT_THROW(load_regressor(R"({"format":"other"})"), std::runtime_error);
-  EXPECT_THROW(load_regressor("not json"), std::runtime_error);
-}
-
-TEST(Serialize, RejectsOutOfRangeIndex) {
-  MultiOutputRegressor model(4, 1);
-  std::string text = save_regressor(model);
-  // Inject a weight index beyond input_dim.
-  text.replace(text.find("\"weights\":[]"), 12, "\"weights\":[[99,1.0]]");
-  EXPECT_THROW(load_regressor(text), std::runtime_error);
-}
-
-TEST(Serialize, SparseStorageOmitsZeros) {
-  MultiOutputRegressor model(1000, 1);
-  model.weights(0)[7] = 1.5;
-  const std::string text = save_regressor(model);
-  // One non-zero: the serialized form stays small.
-  EXPECT_LT(text.size(), 300U);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the concurrent runtime: thread pool, bounded queue, batcher,
-// and the warm model cache — including contention stress tests.
+// Tests for the concurrent runtime: thread pool, bounded queue, and the
+// warm model cache — including contention stress tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "sched/batcher.hpp"
 #include "sched/queue.hpp"
 #include "sched/thread_pool.hpp"
 #include "sched/warm_cache.hpp"
@@ -345,40 +344,6 @@ TEST(BoundedQueueTest, ChainTailCloseUnblocksUpstream) {
   t.join();
   producer.join();
   SUCCEED();  // reaching here means no deadlock
-}
-
-// ------------------------------------------------------------- batcher ----
-
-TEST(BatcherTest, FlushesFullBatches) {
-  std::vector<std::vector<int>> batches;
-  Batcher<int> batcher(3, [&](std::vector<int>&& b) {
-    batches.push_back(std::move(b));
-  });
-  for (int i = 0; i < 7; ++i) batcher.add(i);
-  EXPECT_EQ(batches.size(), 2U);
-  EXPECT_EQ(batcher.pending(), 1U);
-  batcher.flush_now();
-  ASSERT_EQ(batches.size(), 3U);
-  EXPECT_EQ(batches[0], (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(batches[2], (std::vector<int>{6}));
-  EXPECT_EQ(batcher.batches_flushed(), 3U);
-}
-
-TEST(BatcherTest, FlushOnEmptyIsNoOp) {
-  int flushes = 0;
-  Batcher<int> batcher(4, [&](std::vector<int>&&) { ++flushes; });
-  batcher.flush_now();
-  EXPECT_EQ(flushes, 0);
-}
-
-TEST(BatcherTest, ZeroBatchSizeClampedToOne) {
-  std::vector<std::vector<int>> batches;
-  Batcher<int> batcher(0, [&](std::vector<int>&& b) {
-    batches.push_back(std::move(b));
-  });
-  batcher.add(1);
-  EXPECT_EQ(batches.size(), 1U);
-  EXPECT_EQ(batcher.batch_size(), 1U);
 }
 
 // ---------------------------------------------------------- warm cache ----
