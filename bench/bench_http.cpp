@@ -120,11 +120,23 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
+/// Nearest-rank percentile of a sorted sample; none for an empty one, so a
+/// run in which no job completed reports no latency rather than 0.
+std::optional<double> percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return std::nullopt;
   const auto idx = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(idx, sorted.size() - 1)];
+}
+
+/// Seconds as JSON: null when there is no sample.
+util::Json seconds_json(std::optional<double> seconds) {
+  return seconds ? util::Json(*seconds) : util::Json(nullptr);
+}
+
+/// Milliseconds for the console: "-" when there is no sample.
+std::string ms_text(std::optional<double> seconds) {
+  return seconds ? util::format_fixed(*seconds * 1e3, 1) : "-";
 }
 
 struct JobOutcome {
@@ -385,14 +397,14 @@ int main(int argc, char** argv) {
     table.row()
         .add(tenant)
         .add(values.size())
-        .add(percentile(values, 0.50) * 1e3, 1)
-        .add(percentile(values, 0.95) * 1e3, 1)
-        .add(percentile(values, 0.99) * 1e3, 1);
+        .add(ms_text(percentile(values, 0.50)))
+        .add(ms_text(percentile(values, 0.95)))
+        .add(ms_text(percentile(values, 0.99)));
     util::JsonObject entry;
     entry["completed"] = values.size();
-    entry["latency_p50_seconds"] = percentile(values, 0.50);
-    entry["latency_p95_seconds"] = percentile(values, 0.95);
-    entry["latency_p99_seconds"] = percentile(values, 0.99);
+    entry["latency_p50_seconds"] = seconds_json(percentile(values, 0.50));
+    entry["latency_p95_seconds"] = seconds_json(percentile(values, 0.95));
+    entry["latency_p99_seconds"] = seconds_json(percentile(values, 0.99));
     tenants_obj[tenant] = util::Json(std::move(entry));
   }
   table.print(std::cout);
@@ -424,10 +436,8 @@ int main(int argc, char** argv) {
 
   std::cout << "jobs: " << outcomes.size() << " submitted, " << completed
             << " completed, " << failed << " failed, " << records
-            << " records streamed; p50 "
-            << util::format_fixed(percentile(latencies, 0.50) * 1e3, 1)
-            << " ms, p95 "
-            << util::format_fixed(percentile(latencies, 0.95) * 1e3, 1)
+            << " records streamed; p50 " << ms_text(percentile(latencies, 0.50))
+            << " ms, p95 " << ms_text(percentile(latencies, 0.95))
             << " ms; clean drain: " << (clean ? "yes" : "NO") << "; wall "
             << util::format_fixed(wall, 2) << " s\n";
 
@@ -441,9 +451,9 @@ int main(int argc, char** argv) {
   out["failed"] = failed;
   out["records_streamed"] = records;
   util::JsonObject latency;
-  latency["p50_seconds"] = percentile(latencies, 0.50);
-  latency["p95_seconds"] = percentile(latencies, 0.95);
-  latency["p99_seconds"] = percentile(latencies, 0.99);
+  latency["p50_seconds"] = seconds_json(percentile(latencies, 0.50));
+  latency["p95_seconds"] = seconds_json(percentile(latencies, 0.95));
+  latency["p99_seconds"] = seconds_json(percentile(latencies, 0.99));
   out["latency"] = util::Json(std::move(latency));
   out["tenants"] = util::Json(std::move(tenants_obj));
   out["slow_client"] = std::move(slow_client);

@@ -29,7 +29,8 @@ BENCH_all.json as "slo_recovery" so dashboards don't need to dig.
 
 A BENCH_http input (bench_http: the open-loop load generator against the
 /v1 network front end) is schema-checked too — it must carry the latency
-percentile object (p50 <= p95 <= p99), a clean_drain flag, and, when the
+percentile object, overall and per tenant (p50 <= p95 <= p99 when a job
+completed, all null when none did), a clean_drain flag, and, when the
 slow-client scenario ran, a bounded resident-work verdict — and its
 percentiles are hoisted as "http_latency".
 """
@@ -83,6 +84,24 @@ def check_adaptive(merged):
 HTTP_LATENCY_KEYS = ("p50_seconds", "p95_seconds", "p99_seconds")
 
 
+def check_percentiles(where, completed, values):
+    """Errors for one p50/p95/p99 triple, given as [(key, value)]: numeric
+    and monotone when `completed` jobs > 0, all null when none completed
+    (a latency of 0 would read as an instant success)."""
+    if completed == 0:
+        return [f"{where}: no job completed but '{key}' is {value!r}, "
+                "not null" for key, value in values if value is not None]
+    errors = [f"{where} lacks numeric '{key}'" for key, value in values
+              if isinstance(value, bool)
+              or not isinstance(value, (int, float))]
+    if not errors:
+        p50, p95, p99 = (value for _, value in values)
+        if not p50 <= p95 <= p99:
+            errors.append(f"{where}: percentiles not monotone "
+                          f"(p50={p50}, p95={p95}, p99={p99})")
+    return errors
+
+
 def check_http(merged):
     """Returns (hoisted dict or None, [error strings]) for BENCH_http."""
     data = merged.get("BENCH_http")
@@ -104,16 +123,24 @@ def check_http(merged):
     latency = data.get("latency")
     if not isinstance(latency, dict):
         errors.append("BENCH_http: lacks the 'latency' percentile object")
-    else:
-        for key in HTTP_LATENCY_KEYS:
-            if not isinstance(latency.get(key), (int, float)):
-                errors.append(f"BENCH_http: latency lacks numeric '{key}'")
-        if not errors:
-            p50, p95, p99 = (latency[k] for k in HTTP_LATENCY_KEYS)
-            if not p50 <= p95 <= p99:
-                errors.append(
-                    f"BENCH_http: percentiles not monotone "
-                    f"(p50={p50}, p95={p95}, p99={p99})")
+    elif isinstance(counts[1], int):
+        errors += check_percentiles(
+            "BENCH_http: latency", counts[1],
+            [(key, latency.get(key)) for key in HTTP_LATENCY_KEYS])
+    tenants = data.get("tenants", {})
+    if not isinstance(tenants, dict):
+        errors.append("BENCH_http: 'tenants' is not an object")
+        tenants = {}
+    for tenant, entry in sorted(tenants.items()):
+        where = f"BENCH_http: tenant {tenant}"
+        if not isinstance(entry, dict) or not isinstance(
+                entry.get("completed"), int):
+            errors.append(f"{where} lacks integer 'completed'")
+            continue
+        errors += check_percentiles(
+            where, entry["completed"],
+            [(f"latency_{key}", entry.get(f"latency_{key}"))
+             for key in HTTP_LATENCY_KEYS])
     slow = data.get("slow_client")
     if not isinstance(slow, dict) or "ran" not in slow:
         errors.append("BENCH_http: lacks the 'slow_client' verdict object")

@@ -14,7 +14,7 @@ std::shared_ptr<const doc::Document> GeneratorSource::next() {
       generator_.generate_one(next_++));
 }
 
-ShardSource::ShardSource(std::string blob) : reader_(std::move(blob)) {}
+ShardSource::ShardSource(std::string_view blob) : reader_(blob) {}
 
 std::shared_ptr<const doc::Document> ShardSource::next() {
   if (next_ >= reader_.count()) return nullptr;

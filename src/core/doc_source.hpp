@@ -101,8 +101,9 @@ class GeneratorSource final : public DocumentSource {
 /// one document per next() call.
 class ShardSource final : public DocumentSource {
  public:
-  /// Throws std::runtime_error on a malformed shard.
-  explicit ShardSource(std::string blob);
+  /// Throws std::runtime_error on a malformed shard. The blob need not
+  /// outlive the source.
+  explicit ShardSource(std::string_view blob);
 
   std::shared_ptr<const doc::Document> next() override;
   std::size_t size_hint() const override { return reader_.count(); }

@@ -1,12 +1,14 @@
 #include "io/fsio.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -15,6 +17,21 @@ namespace adaparse::io {
 namespace {
 
 std::atomic<std::uint64_t> fsync_count{0};
+
+/// Closes a descriptor on every path out of its scope, exceptions included.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
 
 /// fsync with EINTR retry; counts every successful sync for the test hook.
 bool fsync_fd(int fd) {
@@ -55,11 +72,32 @@ void fsync_parent_dir(const std::string& path) {
 }  // namespace
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
+  const ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) return std::nullopt;
+  // The size is only a hint: /proc files report 0, and a journal may grow
+  // while it is read, so the loop reads to EOF. One spare byte lets the
+  // read that finds EOF run without growing a file read in one go.
+  struct stat info {};
+  const std::size_t hint =
+      ::fstat(fd.get(), &info) == 0 && info.st_size > 0
+          ? static_cast<std::size_t>(info.st_size)
+          : 0;
+  std::string bytes(std::max<std::size_t>(hint + 1, 4096), '\0');
+  std::size_t size = 0;
+  for (;;) {
+    if (size == bytes.size()) bytes.resize(2 * bytes.size());
+    const ssize_t n =
+        ::read(fd.get(), bytes.data() + size, bytes.size() - size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int error = errno;
+      throw std::runtime_error("read_file: cannot read " + path + ": " +
+                               std::strerror(error));
+    }
+    if (n == 0) break;
+    size += static_cast<std::size_t>(n);
+  }
+  bytes.resize(size);
   return bytes;
 }
 

@@ -3,8 +3,9 @@
 // The campaign runner journals progress to disk and must never leave a
 // half-written shard or output file visible to a resumed run: every file
 // is written to a temporary sibling and renamed into place (rename is
-// atomic on POSIX filesystems). Reads return nullopt rather than throwing
-// so callers can treat a missing file as "not yet produced".
+// atomic on POSIX filesystems). A file that cannot be opened reads as
+// nullopt rather than an error, so callers can treat a missing file as
+// "not yet produced".
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,8 @@
 
 namespace adaparse::io {
 
-/// Reads a whole file into memory; nullopt if it cannot be opened.
+/// Reads a whole file into memory, to EOF; nullopt if it cannot be opened.
+/// Throws std::runtime_error if it opens but a read fails (a directory).
 std::optional<std::string> read_file(const std::string& path);
 
 /// Writes `bytes` to `path` via a temporary sibling + rename, so a reader

@@ -1,5 +1,6 @@
 #include "io/shard.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -8,10 +9,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0xADA90001;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
+char* put_u32(char* out, std::uint32_t v) {
+  std::memcpy(out, &v, 4);
+  return out + 4;
 }
 
 std::uint32_t get_u32(std::string_view s, std::size_t& pos) {
@@ -34,23 +34,28 @@ std::string_view get_bytes(std::string_view s, std::size_t& pos,
   return out;
 }
 
+/// Writes `s` as (count 1..255, byte) pairs at `out`, which must have room
+/// for 2 * s.size() bytes; returns the end of what it wrote.
+char* encode_runs(std::string_view s, char* out) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (p < end) {
+    const char c = *p;
+    const char* const limit = p + std::min<std::ptrdiff_t>(255, end - p);
+    const char* run_end = p + 1;
+    while (run_end < limit && *run_end == c) ++run_end;
+    *out++ = static_cast<char>(run_end - p);
+    *out++ = c;
+    p = run_end;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string rle_encode(std::string_view s) {
-  // Format: pairs of (count byte 1..255, char). Worst case 2x; typical text
-  // with whitespace runs compresses slightly — enough to exercise the
-  // encode/decode path the way DEFLATE would.
-  std::string out;
-  out.reserve(s.size());
-  std::size_t i = 0;
-  while (i < s.size()) {
-    const char c = s[i];
-    std::size_t run = 1;
-    while (i + run < s.size() && s[i + run] == c && run < 255) ++run;
-    out += static_cast<char>(run);
-    out += c;
-    i += run;
-  }
+  std::string out(2 * s.size(), '\0');
+  out.resize(static_cast<std::size_t>(encode_runs(s, out.data()) - out.data()));
   return out;
 }
 
@@ -58,12 +63,23 @@ std::string rle_decode(std::string_view s) {
   if (s.size() % 2 != 0) {
     throw std::runtime_error("rle: odd-length input");
   }
-  std::string out;
-  out.reserve(s.size());
+  // Size the output from the count bytes first, then fill it in one pass.
+  std::size_t size = 0;
   for (std::size_t i = 0; i < s.size(); i += 2) {
     const auto run = static_cast<unsigned char>(s[i]);
     if (run == 0) throw std::runtime_error("rle: zero run length");
-    out.append(run, s[i + 1]);
+    size += run;
+  }
+  std::string out(size, '\0');
+  char* p = out.data();
+  for (std::size_t i = 0; i < s.size(); i += 2) {
+    const auto run = static_cast<unsigned char>(s[i]);
+    if (run == 1) {
+      *p++ = s[i + 1];
+    } else {
+      std::memset(p, s[i + 1], run);
+      p += run;
+    }
   }
   return out;
 }
@@ -74,34 +90,46 @@ void ShardWriter::add(std::string name, std::string payload) {
 }
 
 std::string ShardWriter::finish() const {
-  std::string out;
-  put_u32(out, kMagic);
-  put_u32(out, static_cast<std::uint32_t>(entries_.size()));
+  // Size the blob for the worst case, every byte its own run, encode each
+  // payload straight into it, and cut it to length at the end.
+  std::size_t bound = 8;
   for (const auto& entry : entries_) {
-    const std::string encoded = rle_encode(entry.payload);
-    put_u32(out, static_cast<std::uint32_t>(entry.name.size()));
-    out += entry.name;
-    put_u32(out, static_cast<std::uint32_t>(encoded.size()));
-    out += encoded;
+    bound += 8 + entry.name.size() + 2 * entry.payload.size();
   }
+  std::string out(bound, '\0');
+  char* p = out.data();
+  p = put_u32(p, kMagic);
+  p = put_u32(p, static_cast<std::uint32_t>(entries_.size()));
+  for (const auto& entry : entries_) {
+    p = put_u32(p, static_cast<std::uint32_t>(entry.name.size()));
+    std::memcpy(p, entry.name.data(), entry.name.size());
+    p += entry.name.size();
+    char* const data = p + 4;
+    char* const data_end = encode_runs(entry.payload, data);
+    put_u32(p, static_cast<std::uint32_t>(data_end - data));
+    p = data_end;
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
   return out;
 }
 
-ShardReader::ShardReader(std::string blob) : blob_(std::move(blob)) {
+ShardReader::ShardReader(std::string_view blob) {
   std::size_t pos = 0;
-  if (get_u32(blob_, pos) != kMagic) {
+  if (get_u32(blob, pos) != kMagic) {
     throw std::runtime_error("shard: bad magic");
   }
-  const std::uint32_t n = get_u32(blob_, pos);
-  entries_.reserve(n);
+  const std::uint32_t n = get_u32(blob, pos);
+  // Every entry takes at least its two length fields: a count the blob
+  // cannot hold is caught as truncation below, not reserved up front.
+  entries_.reserve(std::min<std::size_t>(n, (blob.size() - pos) / 8));
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t name_len = get_u32(blob_, pos);
-    const auto name = get_bytes(blob_, pos, name_len);
-    const std::uint32_t data_len = get_u32(blob_, pos);
-    const auto encoded = get_bytes(blob_, pos, data_len);
+    const std::uint32_t name_len = get_u32(blob, pos);
+    const auto name = get_bytes(blob, pos, name_len);
+    const std::uint32_t data_len = get_u32(blob, pos);
+    const auto encoded = get_bytes(blob, pos, data_len);
     entries_.push_back({std::string(name), rle_decode(encoded)});
   }
-  if (pos != blob_.size()) {
+  if (pos != blob.size()) {
     throw std::runtime_error("shard: trailing bytes");
   }
 }

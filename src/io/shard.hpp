@@ -3,11 +3,18 @@
 // Paper §6.1: "we aggregate and chunk input files into a set of compressed
 // ZIP archives and transfer them to node-local RAM storage" to avoid
 // hammering Lustre with small-file I/O. This module implements that
-// pattern: a simple length-prefixed archive with a trailing index, plus an
-// in-memory variant the cluster simulator uses to model staging costs.
-// (No actual compression codec is shipped offline, so entries are stored
-// with a run-length pre-pass that stands in for DEFLATE; the I/O pattern —
-// one large sequential file per shard — is what matters for the system.)
+// pattern as one length-prefixed blob per shard:
+//
+//   [magic u32][n u32] then n times [name_len u32][name][data_len u32][data]
+//
+// with every integer in host byte order and `data` the run-length pairs
+// of the payload. No compression codec is shipped
+// offline, so the pairs (count 1..255, byte) stand in for DEFLATE; they
+// double plain text, which has few runs, so a shard is about twice its
+// JSON. The I/O pattern — one large sequential file per shard — is what
+// matters for the system. The format is pinned byte for byte by
+// `Shard.PackedBenchmarkCorpusBytesArePinned`: shard files staged by an
+// older build stay readable.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +39,7 @@ class ShardWriter {
   /// Total payload bytes added (pre-encoding).
   std::size_t payload_bytes() const { return payload_bytes_; }
 
-  /// Serializes: [magic][n][entries: name_len,name,data_len,data...][index].
+  /// Serializes every entry in the order added (format above).
   std::string finish() const;
 
  private:
@@ -43,8 +50,9 @@ class ShardWriter {
 /// Reads a serialized shard; validates magic and lengths.
 class ShardReader {
  public:
+  /// Decodes every entry of `blob`, which need not outlive the reader.
   /// Throws std::runtime_error on malformed input.
-  explicit ShardReader(std::string blob);
+  explicit ShardReader(std::string_view blob);
 
   std::size_t count() const { return entries_.size(); }
   const std::vector<ShardEntry>& entries() const { return entries_; }
@@ -52,7 +60,6 @@ class ShardReader {
   std::optional<std::string_view> find(std::string_view name) const;
 
  private:
-  std::string blob_;
   std::vector<ShardEntry> entries_;
 };
 

@@ -369,7 +369,7 @@ void HttpServer::shard_loader_loop() {
     if (load_shard_blob(load.spec.shard_file, &blob, &status, &code,
                         &message)) {
       try {
-        source = std::make_unique<core::ShardSource>(std::move(blob));
+        source = std::make_unique<core::ShardSource>(blob);
       } catch (const std::exception& e) {
         status = 400;
         code = "shard_malformed";

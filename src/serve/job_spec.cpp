@@ -337,7 +337,7 @@ std::unique_ptr<core::DocumentSource> JobSpec::make_source() const {
         throw std::runtime_error("documents.shard_file: cannot read " +
                                  shard_file);
       }
-      return std::make_unique<core::ShardSource>(std::move(*blob));
+      return std::make_unique<core::ShardSource>(*blob);
     }
   }
   throw SpecError("documents", "spec has no documents section");

@@ -17,10 +17,27 @@ bool Json::contains(const std::string& key) const {
   return is_object() && as_object().count(key) > 0;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
+namespace {
+
+/// Bytes a JSON string cannot hold raw: '"', '\' and the C0 controls.
+constexpr std::array<bool, 256> kNeedsEscape = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 0x20; ++c) table[c] = true;
+  table['"'] = true;
+  table['\\'] = true;
+  return table;
+}();
+
+/// Appends `s` escaped, copying each run of plain bytes in one append.
+void append_escaped(std::string& out, std::string_view s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  for (;;) {
+    const char* const plain = p;
+    while (p < end && !kNeedsEscape[static_cast<unsigned char>(*p)]) ++p;
+    out.append(plain, p);
+    if (p == end) return;
+    const auto c = static_cast<unsigned char>(*p++);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -29,20 +46,21 @@ std::string json_escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-          out += buf.data();
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(code, sizeof(code));
+      }
     }
   }
-  return out;
 }
 
-namespace {
+/// Appends `s` as a quoted JSON string.
+void dump_string(std::string& out, std::string_view s) {
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
+}
 
 void dump_number(std::string& out, double d) {
   if (!std::isfinite(d)) {
@@ -75,9 +93,8 @@ void dump_object(std::string& out, const JsonObject& o) {
   for (const auto& [k, v] : o) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += json_escape(k);
-    out += "\":";
+    dump_string(out, k);
+    out += ':';
     dump_value(out, v);
   }
   out += '}';
@@ -91,9 +108,7 @@ void dump_value(std::string& out, const Json& j) {
   } else if (j.is_number()) {
     dump_number(out, j.as_number());
   } else if (j.is_string()) {
-    out += '"';
-    out += json_escape(j.as_string());
-    out += '"';
+    dump_string(out, j.as_string());
   } else if (j.is_array()) {
     dump_array(out, j.as_array());
   } else {
@@ -224,48 +239,50 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      const char c = advance();
-      if (c == '"') break;
-      if (c == '\\') {
-        const char e = advance();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = advance();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid hex digit in \\u escape");
-            }
-            // Encode as UTF-8 (BMP only; surrogate pairs are passed through
-            // as two separate 3-byte sequences, fine for our data).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+      // Copy everything up to the next quote or backslash in one append.
+      const std::size_t plain = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
+      out.append(text_.data() + plain, pos_ - plain);
+      if (advance() == '"') break;
+      // A backslash: decode one escape.
+      const char e = advance();
+      switch (e) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = advance();
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else fail("invalid hex digit in \\u escape");
           }
-          default: fail("invalid escape character");
+          // Encode as UTF-8 (BMP only; surrogate pairs are passed through
+          // as two separate 3-byte sequences, fine for our data).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default: fail("invalid escape character");
       }
     }
     return out;

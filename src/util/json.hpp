@@ -70,7 +70,4 @@ class Json {
       value_;
 };
 
-/// Escapes a string for embedding in JSON output (quotes not included).
-std::string json_escape(std::string_view s);
-
 }  // namespace adaparse::util

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -474,6 +475,34 @@ TEST_F(CampaignFixture, CorruptShardFileIsRestagedFromSource) {
   EXPECT_TRUE(stats.completed);
   EXPECT_GE(stats.corrupt_shard_recoveries, 1u);
   EXPECT_EQ(output_bytes(runner), reference_bytes());
+}
+
+TEST_F(CampaignFixture, CorruptRunLengthCountIsRestagedFromSource) {
+  // One count byte 1 -> 2 turns the key "id" into "iid": the shard still
+  // frames and parses, and only the document decoder can tell.
+  auto config = base_config("corrupt_count");
+  config.workers = 1;  // shard 0 commits first, shard 1 stays pending
+  config.failures.halt_after_commits = 1;
+  CampaignRunner first(*bundle_->llm, config);
+  ASSERT_TRUE(first.run(source()).halted);
+
+  const std::string path = first.shard_path(1);
+  std::string blob = io::read_file(path).value_or("");
+  // Keys are written in sorted order, so "id" sits mid-object: find its
+  // pairs, (1,'"') (1,'i') (1,'d') (1,'"') (1,':'), in the first entry.
+  const std::string key_pairs("\x01\"\x01i\x01" "d\x01\"\x01:", 10);
+  const std::size_t at = blob.find(key_pairs);
+  ASSERT_NE(at, std::string::npos);
+  blob[at + 2] = '\x02';
+  io::write_file_atomic(path, blob);
+
+  auto resume = config;
+  resume.failures = FailurePlan{};
+  CampaignRunner second(*bundle_->llm, resume);
+  const auto stats = second.run(source());
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.corrupt_shard_recoveries, 1u);
+  EXPECT_EQ(output_bytes(second), reference_bytes());
 }
 
 TEST_F(CampaignFixture, ExceptionInAnAttemptPropagatesOutOfRun) {

@@ -96,6 +96,61 @@ TEST(Rle, RejectsMalformed) {
   EXPECT_THROW(rle_decode(zero_run), std::runtime_error);
 }
 
+/// The run-length encoder as first written, one (count, char) pair per
+/// run built into a temporary string: the on-disk format reference.
+std::string reference_rle_encode(std::string_view s) {
+  std::string out;
+  std::size_t i = 0;
+  while (i < s.size()) {
+    const char c = s[i];
+    std::size_t run = 1;
+    while (i + run < s.size() && s[i + run] == c && run < 255) ++run;
+    out += static_cast<char>(run);
+    out += c;
+    i += run;
+  }
+  return out;
+}
+
+std::string reference_rle_decode(std::string_view s) {
+  std::string out;
+  for (std::size_t i = 0; i < s.size(); i += 2) {
+    out.append(static_cast<unsigned char>(s[i]), s[i + 1]);
+  }
+  return out;
+}
+
+TEST(Rle, MatchesReferenceLoopAtRunBoundaries) {
+  util::Rng rng(0x41E);
+  std::vector<std::string> inputs;
+  for (const std::size_t run : {1, 254, 255, 256, 511}) {
+    inputs.push_back(std::string(run, 'a'));
+    inputs.push_back("x" + std::string(run, '\0') + "y");
+    inputs.push_back(std::string(run, '\xFF') + std::string(run, '\x01'));
+  }
+  for (int n = 0; n < 64; ++n) {
+    std::string random(rng.below(2048), '\0');
+    // Few distinct bytes, so runs of every length appear.
+    const std::uint64_t alphabet = 1 + rng.below(n % 2 == 0 ? 3 : 256);
+    for (char& c : random) c = static_cast<char>(rng.below(alphabet));
+    inputs.push_back(std::move(random));
+  }
+  for (const auto& input : inputs) {
+    const std::string encoded = rle_encode(input);
+    ASSERT_EQ(encoded, reference_rle_encode(input)) << input.size();
+    EXPECT_EQ(rle_decode(encoded), input);
+  }
+  // Decoding any well-formed pair stream, not only the encoder's output.
+  for (int n = 0; n < 64; ++n) {
+    std::string pairs(2 * rng.below(600), '\0');
+    for (std::size_t i = 0; i < pairs.size(); i += 2) {
+      pairs[i] = static_cast<char>(1 + rng.below(255));
+      pairs[i + 1] = static_cast<char>(rng.below(256));
+    }
+    EXPECT_EQ(rle_decode(pairs), reference_rle_decode(pairs));
+  }
+}
+
 TEST(Shard, WriteReadRoundTrip) {
   ShardWriter writer;
   writer.add("doc-0.txt", "first document body");
@@ -132,6 +187,28 @@ TEST(Shard, RejectsCorruptedBlobs) {
                std::runtime_error);
   // Trailing garbage.
   EXPECT_THROW(ShardReader{blob + "x"}, std::runtime_error);
+}
+
+TEST(Shard, PackedBenchmarkCorpusBytesArePinned) {
+  // Pins the staged shard format byte for byte: entry framing, the JSON
+  // each document is written as, and the run-length pairs around it.
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0x7EA1ULL}) {
+    const auto docs =
+        doc::CorpusGenerator(doc::benchmark_config(20, seed)).generate();
+    for (const char c : pack_corpus_shard(docs)) {
+      h = util::fnv1a_step(h, static_cast<unsigned char>(c));
+    }
+  }
+  EXPECT_EQ(h, 0xBC9D9E96EEF91A3BULL);
+}
+
+TEST(Shard, HugeEntryCountIsMalformedNotAnAllocation) {
+  ShardWriter writer;
+  writer.add("a", "payload");
+  std::string blob = writer.finish();
+  blob[7] = '\x7F';  // entry count 0x7F000001
+  EXPECT_THROW(ShardReader{blob}, std::runtime_error);
 }
 
 TEST(Shard, PlanShardsRespectsByteBudget) {
@@ -236,6 +313,74 @@ TEST(DocCodec, UnpackRejectsCorruptBlob) {
   EXPECT_THROW(unpack_corpus_shard(blob), std::runtime_error);
 }
 
+TEST(DocCodec, SeedMustBeAnUnsignedDecimal) {
+  doc::Document document;
+  document.id = "seed-digits";
+  for (const char* bad : {"1#3", "", "-1", " 7", "+7", "0x10",
+                          "18446744073709551616"}) {
+    auto j = document_to_json(document);
+    j.as_object()["seed"] = bad;
+    EXPECT_THROW(document_from_json(j), std::runtime_error) << bad;
+  }
+  auto j = document_to_json(document);
+  j.as_object()["seed"] = "18446744073709551615";
+  EXPECT_EQ(document_from_json(j).seed, 0xFFFFFFFFFFFFFFFFULL);
+}
+
+TEST(DocCodec, MissingOrMistypedFieldsAreRuntimeErrors) {
+  const auto good = document_to_json(doc::Document{});
+  for (const auto& [key, value] : good.as_object()) {
+    auto missing = good;
+    missing.as_object().erase(key);
+    EXPECT_THROW(document_from_json(missing), std::runtime_error) << key;
+    auto mistyped = good;
+    mistyped.as_object()[key] =
+        value.is_string() ? util::Json(1.0) : util::Json("1");
+    EXPECT_THROW(document_from_json(mistyped), std::runtime_error) << key;
+  }
+  for (const char* key : {"year", "meta_pages", "subcategory", "publisher"}) {
+    auto huge = good;
+    huge.as_object()[key] = 2e19;  // outside int: no undefined cast
+    EXPECT_THROW(document_from_json(huge), std::runtime_error) << key;
+    auto fractional = good;
+    fractional.as_object()[key] = 0.5;
+    EXPECT_THROW(document_from_json(fractional), std::runtime_error) << key;
+  }
+  EXPECT_THROW(document_from_json(util::Json(util::JsonArray{})),
+               std::runtime_error);
+}
+
+TEST(DocCodec, SingleByteMutantsDecodeOrThrowRuntimeError) {
+  // Every damaged shard must be reported as std::runtime_error, the one
+  // type the campaign catches to re-stage a shard from its source.
+  const auto docs =
+      doc::CorpusGenerator(doc::benchmark_config(2, /*seed=*/35)).generate();
+  const std::string blob = pack_corpus_shard(docs);
+  util::Rng rng(0xB17F11B);
+  std::vector<std::size_t> positions;
+  // Every header byte and the first entry's opening pairs (keys and
+  // count bytes), then a sample of the whole blob.
+  for (std::size_t i = 0; i < std::min<std::size_t>(blob.size(), 160); ++i) {
+    positions.push_back(i);
+  }
+  for (int i = 0; i < 1500; ++i) positions.push_back(rng.below(blob.size()));
+  std::size_t decoded = 0, rejected = 0;
+  for (const std::size_t pos : positions) {
+    std::string mutant = blob;
+    mutant[pos] = static_cast<char>(mutant[pos] ^ (1 + rng.below(255)));
+    try {
+      unpack_corpus_shard(mutant);
+      ++decoded;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << pos << ": " << e.what();
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(DocCodec, BenchmarkCorpusBytesArePinned) {
   // Pins the generated corpus byte for byte: any change to the generator or
   // to an RNG draw it makes (the Zipf sampler included) moves this digest.
@@ -254,6 +399,27 @@ TEST(DocCodec, BenchmarkCorpusBytesArePinned) {
 
 TEST(Fsio, ReadMissingFileReturnsNullopt) {
   EXPECT_FALSE(read_file("/nonexistent/adaparse-fsio-test").has_value());
+}
+
+TEST(Fsio, ReadEmptyFileAndDirectory) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "adaparse_fsio_read";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string empty = (dir / "empty.bin").string();
+  write_file_atomic(empty, "");
+  const auto bytes = read_file(empty);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(*bytes, "");
+  // A directory opens but cannot be read: an error, not an empty file.
+  EXPECT_THROW(read_file(dir.string()), std::runtime_error);
+}
+
+TEST(Fsio, ReadFileReadsPastItsStatSize) {
+  // /proc files report size 0 but have content: the size is only a hint.
+  const auto bytes = read_file("/proc/self/status");
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_NE(bytes->find("Name:"), std::string::npos);
 }
 
 TEST(Fsio, AtomicWriteRoundTripsAndLeavesNoTemp) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -446,6 +448,145 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(Json::parse("tru"), std::runtime_error);
   EXPECT_THROW(Json::parse(""), std::runtime_error);
+}
+
+/// The escaper as first written, one character at a time into a
+/// temporary string: the byte format every dump must keep.
+std::string reference_escape(std::string_view s) {
+  std::string out;
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
+/// The string parser as first written: `body` follows an opening quote;
+/// returns the decoded string and the offset just past the closing quote,
+/// or nullopt where the old loop failed.
+std::optional<std::pair<std::string, std::size_t>> reference_unescape(
+    std::string_view body) {
+  std::string out;
+  std::size_t pos = 0;
+  const auto advance = [&]() -> std::optional<char> {
+    if (pos >= body.size()) return std::nullopt;
+    return body[pos++];
+  };
+  for (;;) {
+    const auto c = advance();
+    if (!c) return std::nullopt;
+    if (*c == '"') break;
+    if (*c != '\\') {
+      out += *c;
+      continue;
+    }
+    const auto e = advance();
+    if (!e) return std::nullopt;
+    switch (*e) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u': {
+        if (pos + 4 > body.size()) return std::nullopt;
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = *advance();
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return std::nullopt;
+        }
+        if (code < 0x80) {
+          out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          out += static_cast<char>(0xC0 | (code >> 6));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
+      }
+      default: return std::nullopt;
+    }
+  }
+  return std::make_pair(out, pos);
+}
+
+/// Json::parse of a quoted body, nullopt where it throws.
+std::optional<std::string> parse_quoted(std::string_view body) {
+  try {
+    return Json::parse("\"" + std::string(body) + "\"").as_string();
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
+/// 70 bytes mixing plain spans with escapes the dump writes and the
+/// parser reads, so a span boundary falls on every kind of byte.
+std::string escape_base() {
+  std::string s = "plain span, \\n then \\u00e9\\t and \\\"q\\\" /\\/ more";
+  s.resize(70, 'z');
+  return s;
+}
+
+TEST(Json, DumpEscapesLikeThePerCharacterLoop) {
+  const std::string base = escape_base();
+  for (int b = 0; b < 256; ++b) {
+    for (std::size_t at = 0; at < base.size(); ++at) {
+      std::string s = base;
+      s[at] = static_cast<char>(b);
+      ASSERT_EQ(Json(s).dump(), "\"" + reference_escape(s) + "\"")
+          << "byte " << b << " at " << at;
+      JsonObject keyed;
+      keyed[s] = 1;
+      ASSERT_EQ(Json(keyed).dump(), "{\"" + reference_escape(s) + "\":1}");
+    }
+  }
+}
+
+TEST(Json, ParseUnescapesLikeThePerCharacterLoop) {
+  const std::string base = escape_base();
+  for (int b = 0; b < 256; ++b) {
+    for (std::size_t at = 0; at < base.size(); ++at) {
+      std::string body = base;
+      body[at] = static_cast<char>(b);
+      // Raw bytes (a lone '"' ends the string early, a lone '\' starts an
+      // escape), and the same bytes as the dump writes them.
+      for (const std::string& text : {body, reference_escape(body)}) {
+        const auto expected = reference_unescape(text + "\"");
+        const auto actual = parse_quoted(text);
+        if (expected && expected->second == text.size() + 1) {
+          ASSERT_TRUE(actual.has_value()) << "byte " << b << " at " << at;
+          ASSERT_EQ(*actual, expected->first) << "byte " << b << " at " << at;
+        } else {
+          ASSERT_FALSE(actual.has_value()) << "byte " << b << " at " << at;
+        }
+      }
+    }
+  }
 }
 
 TEST(Json, BoundsNestingDepth) {
