@@ -2,86 +2,38 @@
 
 #include <stdexcept>
 
-#include "io/fsio.hpp"
 #include "util/json.hpp"
 
 namespace adaparse::campaign {
 namespace {
 
-std::uint64_t parse_u64(const std::string& s) {
-  if (s.empty()) throw std::runtime_error("manifest: empty u64 field");
-  std::uint64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') throw std::runtime_error("manifest: bad u64 field");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-/// Serializes a record object as one journal line: the CRC is FNV-1a over
-/// the object's dump *without* the crc field (std::map keys make the dump
-/// canonical), appended as a decimal string.
-std::string seal_line(util::JsonObject obj) {
-  const std::string body = util::Json(obj).dump();
-  obj["crc"] = std::to_string(io::fnv1a(body));
-  return util::Json(std::move(obj)).dump();
-}
-
-/// Parses and CRC-checks one line; returns nullopt when the line is torn
-/// (unparseable or failing its CRC) so the caller can apply tail policy.
-std::optional<util::JsonObject> open_line(const std::string& line) {
-  util::Json parsed;
-  try {
-    parsed = util::Json::parse(line);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;
-  }
-  if (!parsed.is_object()) return std::nullopt;
-  util::JsonObject obj = parsed.as_object();
-  const auto crc_it = obj.find("crc");
-  if (crc_it == obj.end() || !crc_it->second.is_string()) return std::nullopt;
-  const std::string stored = crc_it->second.as_string();
-  obj.erase(crc_it);
-  try {
-    if (parse_u64(stored) != io::fnv1a(util::Json(obj).dump())) {
-      return std::nullopt;
-    }
-  } catch (const std::runtime_error&) {
-    return std::nullopt;
-  }
-  return obj;
-}
-
 void apply_record(ManifestState& state, const util::JsonObject& obj) {
-  const util::Json record{obj};
-  const std::string& type = record.at("type").as_string();
+  const util::FieldReader record(obj, "manifest");
+  const std::string& type = record.string_field("type");
   if (type == "plan") {
     PlanRecord plan;
-    plan.docs = static_cast<std::size_t>(record.at("docs").as_number());
-    for (const auto& n : record.at("shard_docs").as_array()) {
-      plan.shard_docs.push_back(static_cast<std::size_t>(n.as_number()));
-    }
-    plan.fingerprint = record.at("fingerprint").as_string();
+    plan.docs = record.size_field("docs");
+    plan.shard_docs = record.size_array_field("shard_docs");
+    plan.fingerprint = record.string_field("fingerprint");
     state.plan = std::move(plan);
   } else if (type == "shard") {
     ShardRecord shard;
-    shard.index = static_cast<std::size_t>(record.at("index").as_number());
-    shard.attempt = static_cast<std::size_t>(record.at("attempt").as_number());
-    shard.docs = static_cast<std::size_t>(record.at("docs").as_number());
-    shard.bytes = static_cast<std::size_t>(record.at("bytes").as_number());
-    shard.checksum = parse_u64(record.at("checksum").as_string());
-    shard.quarantined =
-        static_cast<std::size_t>(record.at("quarantined").as_number());
+    shard.index = record.size_field("index");
+    shard.attempt = record.size_field("attempt");
+    shard.docs = record.size_field("docs");
+    shard.bytes = record.size_field("bytes");
+    shard.checksum = record.u64_field("checksum");
+    shard.quarantined = record.size_field("quarantined");
     state.shards[shard.index] = std::move(shard);
   } else if (type == "quarantine") {
     QuarantineRecord q;
-    q.shard = static_cast<std::size_t>(record.at("shard").as_number());
-    q.doc_id = record.at("doc").as_string();
+    q.shard = record.size_field("shard");
+    q.doc_id = record.string_field("doc");
     state.quarantines.push_back(std::move(q));
   } else if (type == "final") {
     FinalRecord fin;
-    fin.records = static_cast<std::size_t>(record.at("records").as_number());
-    fin.checksum = parse_u64(record.at("checksum").as_string());
+    fin.records = record.size_field("records");
+    fin.checksum = record.u64_field("checksum");
     state.final_record = fin;
   } else {
     throw std::runtime_error("manifest: unknown record type '" + type + "'");
@@ -89,115 +41,69 @@ void apply_record(ManifestState& state, const util::JsonObject& obj) {
 }
 
 util::JsonObject to_object(const PlanRecord& record) {
-  util::JsonObject obj;
-  obj["type"] = "plan";
-  obj["docs"] = record.docs;
   util::JsonArray shard_docs;
   shard_docs.reserve(record.shard_docs.size());
   for (const std::size_t n : record.shard_docs) shard_docs.emplace_back(n);
-  obj["shard_docs"] = util::Json(std::move(shard_docs));
-  obj["fingerprint"] = record.fingerprint;
-  return obj;
+  return {{"type", "plan"},
+          {"docs", record.docs},
+          {"shard_docs", util::Json(std::move(shard_docs))},
+          {"fingerprint", record.fingerprint}};
 }
 
 util::JsonObject to_object(const ShardRecord& record) {
-  util::JsonObject obj;
-  obj["type"] = "shard";
-  obj["index"] = record.index;
-  obj["attempt"] = record.attempt;
-  obj["docs"] = record.docs;
-  obj["bytes"] = record.bytes;
-  obj["checksum"] = std::to_string(record.checksum);
-  obj["quarantined"] = record.quarantined;
-  return obj;
+  return {{"type", "shard"},
+          {"index", record.index},
+          {"attempt", record.attempt},
+          {"docs", record.docs},
+          {"bytes", record.bytes},
+          {"checksum", std::to_string(record.checksum)},
+          {"quarantined", record.quarantined}};
 }
 
 util::JsonObject to_object(const QuarantineRecord& record) {
-  util::JsonObject obj;
-  obj["type"] = "quarantine";
-  obj["shard"] = record.shard;
-  obj["doc"] = record.doc_id;
-  return obj;
+  return {{"type", "quarantine"},
+          {"shard", record.shard},
+          {"doc", record.doc_id}};
 }
 
 util::JsonObject to_object(const FinalRecord& record) {
-  util::JsonObject obj;
-  obj["type"] = "final";
-  obj["records"] = record.records;
-  obj["checksum"] = std::to_string(record.checksum);
-  return obj;
+  return {{"type", "final"},
+          {"records", record.records},
+          {"checksum", std::to_string(record.checksum)}};
 }
 
 }  // namespace
 
 ManifestState load_manifest(const std::string& path) {
+  const io::SealedLogContents log = io::load_sealed_log(path, "manifest");
   ManifestState state;
-  const auto bytes = io::read_file(path);
-  if (!bytes) return state;
-
-  std::size_t begin = 0;
-  std::vector<std::string> lines;
-  std::vector<std::size_t> line_ends;  ///< offset past each line's newline
-  while (begin < bytes->size()) {
-    std::size_t end = bytes->find('\n', begin);
-    if (end == std::string::npos) end = bytes->size();
-    if (end > begin) {
-      lines.push_back(bytes->substr(begin, end - begin));
-      line_ends.push_back(std::min(end + 1, bytes->size()));
-    }
-    begin = end + 1;
-  }
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    auto obj = open_line(lines[i]);
-    if (!obj) {
-      if (i + 1 == lines.size()) {
-        // Torn tail: the process died mid-append. The record never
-        // committed; whatever it described re-executes deterministically.
-        state.dropped_torn_tail = true;
-        break;
-      }
-      throw std::runtime_error("manifest: corrupt record at line " +
-                               std::to_string(i + 1) + " of " + path);
-    }
-    apply_record(state, *obj);
-    state.valid_prefix_bytes = line_ends[i];
-  }
+  for (const auto& record : log.records) apply_record(state, record);
+  state.dropped_torn_tail = log.dropped_torn_tail;
+  state.valid_prefix_bytes = log.valid_prefix_bytes;
   return state;
 }
 
 ManifestWriter::ManifestWriter(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::app), path_(path) {
-  if (!out_) throw std::runtime_error("manifest: cannot open " + path);
-}
+    : log_(path, "manifest") {}
 
 void ManifestWriter::append(const PlanRecord& record) {
-  append_line(seal_line(to_object(record)));
+  log_.append(to_object(record));
 }
 
 void ManifestWriter::append(const ShardRecord& record) {
-  append_line(seal_line(to_object(record)));
+  log_.append(to_object(record));
 }
 
 void ManifestWriter::append(const QuarantineRecord& record) {
-  append_line(seal_line(to_object(record)));
+  log_.append(to_object(record));
 }
 
 void ManifestWriter::append(const FinalRecord& record) {
-  append_line(seal_line(to_object(record)));
+  log_.append(to_object(record));
 }
 
 void ManifestWriter::append_torn(const ShardRecord& record) {
-  const std::string line = seal_line(to_object(record));
-  out_.write(line.data(), static_cast<std::streamsize>(line.size() / 2));
-  out_.flush();
-}
-
-void ManifestWriter::append_line(const std::string& line) {
-  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-  out_.put('\n');
-  out_.flush();
-  if (!out_) throw std::runtime_error("manifest: append failed " + path_);
+  log_.append_torn(to_object(record));
 }
 
 }  // namespace adaparse::campaign

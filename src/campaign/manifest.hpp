@@ -1,12 +1,11 @@
 // Write-ahead campaign manifest — the durable record of shard progress.
 //
-// A campaign directory contains one append-only `manifest.jsonl`. Every
-// record is a single JSON line carrying a `crc` field (FNV-1a over the
-// record serialized without it), so a torn tail — the classic crash mode
-// of an append-only journal — is detectable: a resumed run drops a final
-// line that fails to parse or fails its CRC, and treats the shard it was
-// committing as uncommitted. A malformed line anywhere *before* the tail
-// is real corruption and loading throws.
+// A campaign directory contains one append-only `manifest.jsonl`, a
+// CRC-sealed log in the format of io/sealed_log.hpp. A record commits when
+// its newline is written: a resumed run drops a torn final line (cut off,
+// unterminated, or failing its CRC) and treats the shard it was committing
+// as uncommitted; reopening the writer cuts that tail off. A damaged line
+// anywhere *before* the tail is real corruption and loading throws.
 //
 // Record types, in the order a campaign produces them:
 //   plan        staging finished: shard sizes + engine fingerprint
@@ -16,11 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "io/sealed_log.hpp"
 
 namespace adaparse::campaign {
 
@@ -66,10 +66,9 @@ struct ManifestState {
   std::vector<QuarantineRecord> quarantines;
   std::optional<FinalRecord> final_record;
   /// True when the journal ended in a torn line (dropped). The shard that
-  /// line was committing re-executes — its output is deterministic. The
-  /// resuming writer must truncate the file to `valid_prefix_bytes` before
-  /// appending, or the next record would merge into the torn fragment and
-  /// turn a recoverable tail into permanent mid-journal corruption.
+  /// line was committing re-executes — its output is deterministic. A
+  /// ManifestWriter opened on the file cuts it back to `valid_prefix_bytes`
+  /// before its first append.
   bool dropped_torn_tail = false;
   /// Byte length of the journal's valid prefix (end of the last intact
   /// line, including its newline).
@@ -86,7 +85,8 @@ ManifestState load_manifest(const std::string& path);
 /// the OS page cache before the commit is considered durable.
 class ManifestWriter {
  public:
-  /// Opens `path` for append, creating it if absent.
+  /// Opens `path` for append, creating it if absent and cutting a torn tail
+  /// off first.
   explicit ManifestWriter(const std::string& path);
 
   void append(const PlanRecord& record);
@@ -100,9 +100,7 @@ class ManifestWriter {
   void append_torn(const ShardRecord& record);
 
  private:
-  void append_line(const std::string& line);
-  std::ofstream out_;
-  std::string path_;
+  io::SealedLog log_;
 };
 
 }  // namespace adaparse::campaign

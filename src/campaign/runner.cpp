@@ -177,14 +177,10 @@ CampaignStats CampaignRunner::run(const SourceFactory& source) {
 
   ManifestState state = load_manifest(manifest_path());
   if (state.dropped_torn_tail) {
-    // Cut the torn fragment off before appending: the writer opens in
-    // append mode, and a record written onto the fragment would merge into
-    // one permanently corrupt mid-journal line.
-    std::filesystem::resize_file(manifest_path(), state.valid_prefix_bytes);
     std::lock_guard<std::mutex> lock(mutex_);  // snapshot() may be polling
     stats_.recovered_torn_manifest = true;
   }
-  ManifestWriter manifest(manifest_path());
+  ManifestWriter manifest(manifest_path());  // cuts the torn tail off
   if (state.plan) {
     if (state.plan->fingerprint != fingerprint()) {
       throw std::runtime_error(

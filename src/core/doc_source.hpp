@@ -97,8 +97,9 @@ class GeneratorSource final : public DocumentSource {
 };
 
 /// Streams documents out of a packed shard archive (io::ShardReader over a
-/// blob produced by io::pack_corpus_shard). Entries are decoded lazily,
-/// one document per next() call.
+/// blob produced by io::pack_corpus_shard). The reader run-length decodes
+/// every entry up front, so the whole decoded shard stays resident for the
+/// source's lifetime; only the JSON-to-Document step runs per next() call.
 class ShardSource final : public DocumentSource {
  public:
   /// Throws std::runtime_error on a malformed shard. The blob need not

@@ -1,8 +1,5 @@
 #include "io/doc_codec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "io/shard.hpp"
@@ -15,73 +12,6 @@ util::Json pages_to_json(const std::vector<std::string>& pages) {
   arr.reserve(pages.size());
   for (const auto& page : pages) arr.emplace_back(page);
   return util::Json(std::move(arr));
-}
-
-[[noreturn]] void malformed(const char* field, const char* what) {
-  throw std::runtime_error(std::string("document_from_json: ") + field + " " +
-                           what);
-}
-
-// Checked field readers: a shard damaged at rest must surface as
-// std::runtime_error — the one type the campaign catches to re-stage it —
-// never as out_of_range or bad_variant_access from the Json accessors.
-
-const util::Json& field(const util::JsonObject& obj, const char* key) {
-  const auto it = obj.find(key);
-  if (it == obj.end()) malformed(key, "missing");
-  return it->second;
-}
-
-double number_field(const util::JsonObject& obj, const char* key) {
-  const util::Json& v = field(obj, key);
-  if (!v.is_number()) malformed(key, "is not a number");
-  return v.as_number();
-}
-
-bool bool_field(const util::JsonObject& obj, const char* key) {
-  const util::Json& v = field(obj, key);
-  if (!v.is_bool()) malformed(key, "is not a boolean");
-  return v.as_bool();
-}
-
-const std::string& string_field(const util::JsonObject& obj, const char* key) {
-  const util::Json& v = field(obj, key);
-  if (!v.is_string()) malformed(key, "is not a string");
-  return v.as_string();
-}
-
-/// An integer in [lo, hi): a fraction or a value outside int is malformed,
-/// not cast.
-int int_field(const util::JsonObject& obj, const char* key,
-              double lo = std::numeric_limits<int>::min(),
-              double hi = std::numeric_limits<int>::max() + 1.0) {
-  const double v = number_field(obj, key);
-  if (!(v >= lo && v < hi) || v != std::floor(v)) malformed(key, "out of range");
-  return static_cast<int>(v);
-}
-
-std::vector<std::string> pages_field(const util::JsonObject& obj,
-                                     const char* key) {
-  const util::Json& v = field(obj, key);
-  if (!v.is_array()) malformed(key, "is not an array");
-  std::vector<std::string> pages;
-  pages.reserve(v.as_array().size());
-  for (const auto& page : v.as_array()) {
-    if (!page.is_string()) malformed(key, "holds a non-string page");
-    pages.push_back(page.as_string());
-  }
-  return pages;
-}
-
-/// The seed as written by document_to_json: decimal digits only, in range.
-std::uint64_t seed_field(const util::JsonObject& obj) {
-  const std::string& s = string_field(obj, "seed");
-  std::uint64_t seed = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), seed);
-  if (ec != std::errc() || end != s.data() + s.size()) {
-    malformed("seed", "is not an unsigned decimal");
-  }
-  return seed;
 }
 
 }  // namespace
@@ -116,35 +46,37 @@ util::Json document_to_json(const doc::Document& document) {
 
 doc::Document document_from_json(const util::Json& j) {
   if (!j.is_object()) throw std::runtime_error("document_from_json: not an object");
-  const util::JsonObject& obj = j.as_object();
+  // A shard damaged at rest must surface as std::runtime_error, the one
+  // type the campaign catches to re-stage it.
+  const util::FieldReader in(j.as_object(), "document_from_json");
   doc::Document document;
-  document.id = string_field(obj, "id");
+  document.id = in.string_field("id");
   document.meta.publisher = static_cast<doc::Publisher>(
-      int_field(obj, "publisher", 0, doc::kNumPublishers));
+      in.int_field("publisher", 0, doc::kNumPublishers));
   document.meta.domain = static_cast<doc::Domain>(
-      int_field(obj, "domain", 0, doc::kNumDomains));
-  document.meta.subcategory = int_field(obj, "subcategory");
-  document.meta.year = int_field(obj, "year");
+      in.int_field("domain", 0, doc::kNumDomains));
+  document.meta.subcategory = in.int_field("subcategory");
+  document.meta.year = in.int_field("year");
   document.meta.format = static_cast<doc::PdfFormat>(
-      int_field(obj, "format", 0, doc::kNumFormats));
+      in.int_field("format", 0, doc::kNumFormats));
   document.meta.producer = static_cast<doc::ProducerTool>(
-      int_field(obj, "producer", 0, doc::kNumProducers));
-  document.meta.num_pages = int_field(obj, "meta_pages");
-  document.meta.title = string_field(obj, "title");
-  document.groundtruth_pages = pages_field(obj, "groundtruth");
-  document.text_layer.pages = pages_field(obj, "text_pages");
-  document.text_layer.fidelity = number_field(obj, "text_fidelity");
-  document.text_layer.present = bool_field(obj, "text_present");
-  document.image_layer.born_digital = bool_field(obj, "born_digital");
-  document.image_layer.rotation_deg = number_field(obj, "rotation_deg");
-  document.image_layer.blur_sigma = number_field(obj, "blur_sigma");
-  document.image_layer.contrast = number_field(obj, "contrast");
-  document.image_layer.compression = number_field(obj, "compression");
-  document.layout_complexity = number_field(obj, "layout_complexity");
-  document.math_density = number_field(obj, "math_density");
-  document.chem_density = number_field(obj, "chem_density");
-  document.seed = seed_field(obj);
-  document.corrupted = bool_field(obj, "corrupted");
+      in.int_field("producer", 0, doc::kNumProducers));
+  document.meta.num_pages = in.int_field("meta_pages");
+  document.meta.title = in.string_field("title");
+  document.groundtruth_pages = in.string_array_field("groundtruth");
+  document.text_layer.pages = in.string_array_field("text_pages");
+  document.text_layer.fidelity = in.number_field("text_fidelity");
+  document.text_layer.present = in.bool_field("text_present");
+  document.image_layer.born_digital = in.bool_field("born_digital");
+  document.image_layer.rotation_deg = in.number_field("rotation_deg");
+  document.image_layer.blur_sigma = in.number_field("blur_sigma");
+  document.image_layer.contrast = in.number_field("contrast");
+  document.image_layer.compression = in.number_field("compression");
+  document.layout_complexity = in.number_field("layout_complexity");
+  document.math_density = in.number_field("math_density");
+  document.chem_density = in.number_field("chem_density");
+  document.seed = in.u64_field("seed");
+  document.corrupted = in.bool_field("corrupted");
   return document;
 }
 

@@ -1,16 +1,9 @@
 #include "parsers/extraction.hpp"
 
 #include "text/corrupt.hpp"
-#include "util/rng.hpp"
 
 namespace adaparse::parsers {
 namespace {
-
-/// Per-(document, parser) deterministic noise stream.
-util::Rng noise_stream(const doc::Document& document, ParserKind kind) {
-  return util::Rng(
-      util::mix64(document.seed, 0xA11CE000ULL + static_cast<int>(kind)));
-}
 
 /// Approximate input size: PDFs carry images/fonts beyond the text.
 double document_bytes(const doc::Document& document) {
@@ -20,13 +13,6 @@ double document_bytes(const doc::Document& document) {
   }
   if (!document.image_layer.born_digital) bytes *= 2.2;  // scan images
   return bytes;
-}
-
-ParseResult corrupted_result(const doc::Document& document) {
-  ParseResult r;
-  r.ok = false;
-  r.error = "unreadable PDF: " + document.id;
-  return r;
 }
 
 }  // namespace

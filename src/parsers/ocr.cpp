@@ -4,28 +4,15 @@
 #include <cmath>
 
 #include "text/corrupt.hpp"
-#include "util/rng.hpp"
 
 namespace adaparse::parsers {
 namespace {
-
-util::Rng noise_stream(const doc::Document& document, ParserKind kind) {
-  return util::Rng(
-      util::mix64(document.seed, 0xA11CE000ULL + static_cast<int>(kind)));
-}
 
 double document_bytes(const doc::Document& document) {
   // OCR rasterizes: reads the full page images.
   double bytes = 150'000.0;
   bytes += 450'000.0 * static_cast<double>(document.num_pages());
   return bytes;
-}
-
-ParseResult corrupted_result(const doc::Document& document) {
-  ParseResult r;
-  r.ok = false;
-  r.error = "unreadable PDF: " + document.id;
-  return r;
 }
 
 }  // namespace

@@ -31,4 +31,16 @@ std::string ParseResult::full_text() const {
   return out;
 }
 
+util::Rng noise_stream(const doc::Document& document, ParserKind kind) {
+  return util::Rng(
+      util::mix64(document.seed, 0xA11CE000ULL + static_cast<int>(kind)));
+}
+
+ParseResult corrupted_result(const doc::Document& document) {
+  ParseResult r;
+  r.ok = false;
+  r.error = "unreadable PDF: " + document.id;
+  return r;
+}
+
 }  // namespace adaparse::parsers

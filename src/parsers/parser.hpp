@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "doc/document.hpp"
+#include "util/rng.hpp"
 
 namespace adaparse::parsers {
 
@@ -51,6 +52,13 @@ struct ParseResult {
   /// Concatenated page text (newline-separated; dropped pages skipped).
   std::string full_text() const;
 };
+
+/// Per-(document, parser) deterministic noise stream every simulated
+/// parser draws its errors from.
+util::Rng noise_stream(const doc::Document& document, ParserKind kind);
+
+/// What every parser returns for an unreadable (corrupted) document.
+ParseResult corrupted_result(const doc::Document& document);
 
 /// Abstract parser.
 class Parser {

@@ -2,121 +2,68 @@
 
 #include <stdexcept>
 
-#include "io/fsio.hpp"
 #include "util/json.hpp"
 
 namespace adaparse::serve::control {
 namespace {
 
-std::uint64_t parse_u64(const std::string& s) {
-  if (s.empty()) throw std::runtime_error("decision log: empty u64 field");
-  std::uint64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') {
-      throw std::runtime_error("decision log: bad u64 field");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-/// Same sealing discipline as the campaign manifest: CRC = FNV-1a over the
-/// object's dump without the crc field (std::map keys keep it canonical).
-std::string seal_line(util::JsonObject obj) {
-  const std::string body = util::Json(obj).dump();
-  obj["crc"] = std::to_string(io::fnv1a(body));
-  return util::Json(std::move(obj)).dump();
-}
-
-std::optional<util::JsonObject> open_line(const std::string& line) {
-  util::Json parsed;
-  try {
-    parsed = util::Json::parse(line);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;
-  }
-  if (!parsed.is_object()) return std::nullopt;
-  util::JsonObject obj = parsed.as_object();
-  const auto crc_it = obj.find("crc");
-  if (crc_it == obj.end() || !crc_it->second.is_string()) return std::nullopt;
-  const std::string stored = crc_it->second.as_string();
-  obj.erase(crc_it);
-  try {
-    if (parse_u64(stored) != io::fnv1a(util::Json(obj).dump())) {
-      return std::nullopt;
-    }
-  } catch (const std::runtime_error&) {
-    return std::nullopt;
-  }
-  return obj;
-}
-
-std::size_t as_size(const util::Json& v) {
-  return static_cast<std::size_t>(v.as_number());
-}
-
 util::JsonObject to_object(const ControlConfig& config) {
-  util::JsonObject obj;
-  obj["type"] = "config";
-  obj["slo_p95_micros"] = std::to_string(config.slo_p95_micros);
-  obj["recover_fraction"] = config.recover_fraction;
-  obj["queue_high"] = config.queue_high;
-  obj["queue_low"] = config.queue_low;
-  obj["breach_ticks"] = config.breach_ticks_to_escalate;
-  obj["clear_ticks"] = config.clear_ticks_to_restore;
-  obj["cooldown_ticks"] = config.cooldown_ticks;
-  obj["alpha_scale_l1"] = config.alpha_scale_l1;
-  obj["alpha_scale_l2"] = config.alpha_scale_l2;
-  obj["alpha_scale_l3"] = config.alpha_scale_l3;
-  obj["admission_scale"] = config.admission_scale;
-  obj["protected_priority"] = config.protected_priority;
-  return obj;
+  return {{"type", "config"},
+          {"slo_p95_micros", std::to_string(config.slo_p95_micros)},
+          {"recover_fraction", config.recover_fraction},
+          {"queue_high", config.queue_high},
+          {"queue_low", config.queue_low},
+          {"breach_ticks", config.breach_ticks_to_escalate},
+          {"clear_ticks", config.clear_ticks_to_restore},
+          {"cooldown_ticks", config.cooldown_ticks},
+          {"alpha_scale_l1", config.alpha_scale_l1},
+          {"alpha_scale_l2", config.alpha_scale_l2},
+          {"alpha_scale_l3", config.alpha_scale_l3},
+          {"admission_scale", config.admission_scale},
+          {"protected_priority", config.protected_priority}};
 }
 
-ControlConfig config_from(const util::Json& record) {
+ControlConfig config_from(const util::FieldReader& record) {
   ControlConfig config;
-  config.slo_p95_micros = parse_u64(record.at("slo_p95_micros").as_string());
-  config.recover_fraction = record.at("recover_fraction").as_number();
-  config.queue_high = as_size(record.at("queue_high"));
-  config.queue_low = as_size(record.at("queue_low"));
-  config.breach_ticks_to_escalate = as_size(record.at("breach_ticks"));
-  config.clear_ticks_to_restore = as_size(record.at("clear_ticks"));
-  config.cooldown_ticks = as_size(record.at("cooldown_ticks"));
-  config.alpha_scale_l1 = record.at("alpha_scale_l1").as_number();
-  config.alpha_scale_l2 = record.at("alpha_scale_l2").as_number();
-  config.alpha_scale_l3 = record.at("alpha_scale_l3").as_number();
-  config.admission_scale = record.at("admission_scale").as_number();
-  config.protected_priority =
-      static_cast<int>(record.at("protected_priority").as_number());
+  config.slo_p95_micros = record.u64_field("slo_p95_micros");
+  config.recover_fraction = record.number_field("recover_fraction");
+  config.queue_high = record.size_field("queue_high");
+  config.queue_low = record.size_field("queue_low");
+  config.breach_ticks_to_escalate = record.size_field("breach_ticks");
+  config.clear_ticks_to_restore = record.size_field("clear_ticks");
+  config.cooldown_ticks = record.size_field("cooldown_ticks");
+  config.alpha_scale_l1 = record.number_field("alpha_scale_l1");
+  config.alpha_scale_l2 = record.number_field("alpha_scale_l2");
+  config.alpha_scale_l3 = record.number_field("alpha_scale_l3");
+  config.admission_scale = record.number_field("admission_scale");
+  config.protected_priority = record.int_field("protected_priority");
   return config;
 }
 
 util::JsonObject to_object(const TickRecord& record) {
-  util::JsonObject obj;
-  obj["type"] = "tick";
-  obj["tick"] = std::to_string(record.reading.tick);
-  // p95 travels as integer microseconds: exact through JSON, and the only
-  // latency representation the controller ever compares against.
-  obj["p95_micros"] = std::to_string(record.reading.p95_micros);
-  obj["window"] = record.reading.window_count;
-  obj["queued"] = record.reading.queued_jobs;
-  obj["running"] = record.reading.running_jobs;
-  obj["resident"] = record.reading.resident_documents;
-  obj["action"] = action_name(record.action);
-  obj["level"] = static_cast<std::size_t>(record.level);
-  obj["reason"] = record.reason;
-  return obj;
+  return {{"type", "tick"},
+          {"tick", std::to_string(record.reading.tick)},
+          // p95 travels as integer microseconds: exact through JSON, and
+          // the only latency representation the controller compares.
+          {"p95_micros", std::to_string(record.reading.p95_micros)},
+          {"window", record.reading.window_count},
+          {"queued", record.reading.queued_jobs},
+          {"running", record.reading.running_jobs},
+          {"resident", record.reading.resident_documents},
+          {"action", action_name(record.action)},
+          {"level", static_cast<std::size_t>(record.level)},
+          {"reason", record.reason}};
 }
 
-TickRecord tick_from(const util::Json& record) {
+TickRecord tick_from(const util::FieldReader& record) {
   TickRecord tick;
-  tick.reading.tick = parse_u64(record.at("tick").as_string());
-  tick.reading.p95_micros = parse_u64(record.at("p95_micros").as_string());
-  tick.reading.window_count = as_size(record.at("window"));
-  tick.reading.queued_jobs = as_size(record.at("queued"));
-  tick.reading.running_jobs = as_size(record.at("running"));
-  tick.reading.resident_documents = as_size(record.at("resident"));
-  const std::string& action = record.at("action").as_string();
+  tick.reading.tick = record.u64_field("tick");
+  tick.reading.p95_micros = record.u64_field("p95_micros");
+  tick.reading.window_count = record.size_field("window");
+  tick.reading.queued_jobs = record.size_field("queued");
+  tick.reading.running_jobs = record.size_field("running");
+  tick.reading.resident_documents = record.size_field("resident");
+  const std::string& action = record.string_field("action");
   if (action == "hold") {
     tick.action = Action::kHold;
   } else if (action == "escalate") {
@@ -126,43 +73,21 @@ TickRecord tick_from(const util::Json& record) {
   } else {
     throw std::runtime_error("decision log: unknown action '" + action + "'");
   }
-  const std::size_t level = as_size(record.at("level"));
-  if (level >= kLevelCount) {
-    throw std::runtime_error("decision log: ladder level out of range");
-  }
-  tick.level = static_cast<Level>(level);
-  tick.reason = record.at("reason").as_string();
+  tick.level = static_cast<Level>(record.int_field("level", 0, kLevelCount));
+  tick.reason = record.string_field("reason");
   return tick;
 }
 
 }  // namespace
 
 DecisionLog load_decision_log(const std::string& path) {
+  const io::SealedLogContents contents =
+      io::load_sealed_log(path, "decision log");
   DecisionLog log;
-  const auto bytes = io::read_file(path);
-  if (!bytes) return log;
-
-  std::vector<std::string> lines;
-  std::size_t begin = 0;
-  while (begin < bytes->size()) {
-    std::size_t end = bytes->find('\n', begin);
-    if (end == std::string::npos) end = bytes->size();
-    if (end > begin) lines.push_back(bytes->substr(begin, end - begin));
-    begin = end + 1;
-  }
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    auto obj = open_line(lines[i]);
-    if (!obj) {
-      if (i + 1 == lines.size()) {
-        log.dropped_torn_tail = true;  // classic torn append: drop the tail
-        break;
-      }
-      throw std::runtime_error("decision log: corrupt record at line " +
-                               std::to_string(i + 1) + " of " + path);
-    }
-    const util::Json record{*obj};
-    const std::string& type = record.at("type").as_string();
+  log.dropped_torn_tail = contents.dropped_torn_tail;
+  for (const util::JsonObject& obj : contents.records) {
+    const util::FieldReader record(obj, "decision log");
+    const std::string& type = record.string_field("type");
     if (type == "config") {
       log.config = config_from(record);
     } else if (type == "tick") {
@@ -176,23 +101,14 @@ DecisionLog load_decision_log(const std::string& path) {
 }
 
 DecisionJournal::DecisionJournal(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::app), path_(path) {
-  if (!out_) throw std::runtime_error("decision log: cannot open " + path);
-}
+    : log_(path, "decision log") {}
 
 void DecisionJournal::append(const ControlConfig& config) {
-  append_line(seal_line(to_object(config)));
+  log_.append(to_object(config));
 }
 
 void DecisionJournal::append(const TickRecord& record) {
-  append_line(seal_line(to_object(record)));
-}
-
-void DecisionJournal::append_line(const std::string& line) {
-  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-  out_.put('\n');
-  out_.flush();
-  if (!out_) throw std::runtime_error("decision log: append failed " + path_);
+  log_.append(to_object(record));
 }
 
 std::vector<TickRecord> replay(const ControlConfig& config,

@@ -1,7 +1,8 @@
-// The controller's flight recorder: a CRC-protected append-only decision
-// log, framed exactly like the campaign manifest (one JSON object per
-// line, each carrying a "crc" field = FNV-1a over the line serialized
-// without it; a torn tail is dropped on load, mid-journal damage throws).
+// The controller's flight recorder: an append-only decision log in the
+// CRC-sealed format of io/sealed_log.hpp, shared with the campaign
+// manifest. A record commits when its newline is written: a torn final
+// line is dropped on load and cut off when the journal is reopened;
+// mid-journal damage throws.
 //
 // A journal holds the controller config (first line) followed by one tick
 // record per control tick: the sensor reading the controller saw and the
@@ -12,11 +13,11 @@
 // adaptive serve path.
 #pragma once
 
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "io/sealed_log.hpp"
 #include "serve/control/controller.hpp"
 
 namespace adaparse::serve::control {
@@ -46,15 +47,15 @@ DecisionLog load_decision_log(const std::string& path);
 /// is the only writer. Each append flushes.
 class DecisionJournal {
  public:
+  /// Opens `path` for append, creating it if absent and cutting a torn tail
+  /// off first.
   explicit DecisionJournal(const std::string& path);
 
   void append(const ControlConfig& config);
   void append(const TickRecord& record);
 
  private:
-  void append_line(const std::string& line);
-  std::ofstream out_;
-  std::string path_;
+  io::SealedLog log_;
 };
 
 /// Feeds `readings` through a fresh SloController under `config` and

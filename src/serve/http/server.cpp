@@ -13,6 +13,7 @@
 
 #include "serve/http/wire.hpp"
 #include "serve/job_spec.hpp"
+#include "util/json.hpp"
 
 namespace adaparse::serve::http {
 
@@ -477,20 +478,8 @@ void HttpServer::handle_job(Connection& conn,
                             const net::http::Request& request) {
   const char* route = "/v1/jobs/{id}";
   const std::string_view id_part = request.path().substr(kJobsPrefix.size());
-  std::uint64_t id = 0;
-  bool numeric = !id_part.empty() && id_part.size() <= 18;
-  for (const char c : id_part) {
-    if (c < '0' || c > '9') {
-      numeric = false;
-      break;
-    }
-  }
-  if (numeric) {
-    for (const char c : id_part) {
-      id = id * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-  }
-  const auto it = numeric ? jobs_.find(id) : jobs_.end();
+  const std::optional<std::uint64_t> id = util::parse_u64(id_part);
+  const auto it = id ? jobs_.find(*id) : jobs_.end();
   if (it == jobs_.end()) {
     send_error(conn, route, 404, "not_found",
                "no such job: " + std::string(id_part), request.keep_alive);

@@ -323,4 +323,59 @@ Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view digits) {
+  std::uint64_t value = 0;
+  const char* const end = digits.data() + digits.size();
+  const auto res = std::from_chars(digits.data(), end, value);
+  if (res.ec != std::errc() || res.ptr != end) return std::nullopt;
+  return value;
+}
+
+void FieldReader::malformed(const char* key, const char* what) const {
+  throw std::runtime_error(std::string(context_) + ": " + key + " " + what);
+}
+
+const Json& FieldReader::field(const char* key) const {
+  const auto it = obj_.find(key);
+  if (it == obj_.end()) malformed(key, "missing");
+  return it->second;
+}
+
+double FieldReader::integral(const Json& v, const char* key, double lo,
+                             double hi) const {
+  const double d = as<double>(v, key);
+  if (!(d >= lo && d < hi) || d != std::floor(d)) {
+    malformed(key, "out of range");
+  }
+  return d;
+}
+
+std::size_t FieldReader::size_of(const Json& v, const char* key) const {
+  constexpr double kExactIntegers = 9007199254740992.0;  // 2^53
+  return static_cast<std::size_t>(integral(v, key, 0.0, kExactIntegers));
+}
+
+std::vector<std::size_t> FieldReader::size_array_field(const char* key) const {
+  std::vector<std::size_t> sizes;
+  for (const Json& v : as<JsonArray>(field(key), key)) {
+    sizes.push_back(size_of(v, key));
+  }
+  return sizes;
+}
+
+std::vector<std::string> FieldReader::string_array_field(
+    const char* key) const {
+  const auto& array = as<JsonArray>(field(key), key);
+  std::vector<std::string> strings;
+  strings.reserve(array.size());
+  for (const Json& v : array) strings.push_back(as<std::string>(v, key));
+  return strings;
+}
+
+std::uint64_t FieldReader::u64_field(const char* key) const {
+  const auto value = parse_u64(string_field(key));
+  if (!value) malformed(key, "is not an unsigned decimal");
+  return *value;
+}
+
 }  // namespace adaparse::util

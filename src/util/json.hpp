@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -52,6 +54,9 @@ class Json {
   const JsonObject& as_object() const { return std::get<JsonObject>(value_); }
   JsonArray& as_array() { return std::get<JsonArray>(value_); }
   JsonObject& as_object() { return std::get<JsonObject>(value_); }
+  /// The value if it holds a T (bool, double, std::string, ...), else null.
+  template <typename T>
+  const T* get_if() const { return std::get_if<T>(&value_); }
 
   /// Object field lookup; throws std::out_of_range if absent.
   const Json& at(const std::string& key) const;
@@ -68,6 +73,59 @@ class Json {
  private:
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject>
       value_;
+};
+
+/// Parses an unsigned decimal: digits only (no sign, space or prefix) and
+/// no overflow; nullopt otherwise. Every u64 a record carries (a checksum,
+/// a CRC, a seed) travels as such a string, since JSON numbers are doubles.
+std::optional<std::uint64_t> parse_u64(std::string_view digits);
+
+/// Checked reads of one record's fields. A missing, mistyped or
+/// out-of-range field throws std::runtime_error("<context>: <key> <what>"),
+/// never the std::out_of_range or std::bad_variant_access of Json's
+/// accessors, so a decoder of bytes read from disk fails with the one
+/// error type its callers catch.
+class FieldReader {
+ public:
+  FieldReader(const JsonObject& obj, const char* context)
+      : obj_(obj), context_(context) {}
+
+  double number_field(const char* key) const {
+    return as<double>(field(key), key);
+  }
+  bool bool_field(const char* key) const { return as<bool>(field(key), key); }
+  const std::string& string_field(const char* key) const {
+    return as<std::string>(field(key), key);
+  }
+  /// An integer in [lo, hi): a fraction or a value outside it is
+  /// malformed, not cast.
+  int int_field(const char* key, double lo = std::numeric_limits<int>::min(),
+                double hi = std::numeric_limits<int>::max() + 1.0) const {
+    return static_cast<int>(integral(field(key), key, lo, hi));
+  }
+  /// A count: an integer in [0, 2^53), the range a JSON number holds
+  /// exactly.
+  std::size_t size_field(const char* key) const {
+    return size_of(field(key), key);
+  }
+  std::vector<std::size_t> size_array_field(const char* key) const;
+  std::vector<std::string> string_array_field(const char* key) const;
+  /// A u64 written as a decimal string (see parse_u64).
+  std::uint64_t u64_field(const char* key) const;
+
+ private:
+  [[noreturn]] void malformed(const char* key, const char* what) const;
+  const Json& field(const char* key) const;
+  template <typename T>
+  const T& as(const Json& v, const char* key) const {
+    if (const T* value = v.get_if<T>()) return *value;
+    malformed(key, "has the wrong type");
+  }
+  double integral(const Json& v, const char* key, double lo, double hi) const;
+  std::size_t size_of(const Json& v, const char* key) const;
+
+  const JsonObject& obj_;
+  const char* context_;
 };
 
 }  // namespace adaparse::util

@@ -229,6 +229,84 @@ TEST(CampaignManifest, DuplicateShardCommitReplaysIdempotently) {
   EXPECT_EQ(state.shards.at(2).checksum, 0x2222u);
 }
 
+TEST(CampaignManifest, UnterminatedLastRecordIsCutBeforeTheNextAppend) {
+  const std::string dir = fresh_dir("unterminated");
+  fs::create_directories(dir);
+  const std::string path = dir + "/manifest.jsonl";
+  ShardRecord first;
+  first.index = 0;
+  ShardRecord lost;
+  lost.index = 1;
+  {
+    ManifestWriter writer(path);
+    writer.append(first);
+    writer.append(lost);
+  }
+  // The last record is intact but its newline never landed: the newline is
+  // the commit point, so the record is a torn tail even though it parses.
+  fs::resize_file(path, fs::file_size(path) - 1);
+  const auto torn = load_manifest(path);
+  EXPECT_TRUE(torn.dropped_torn_tail);
+  EXPECT_EQ(torn.shards.size(), 1u);
+
+  ShardRecord next;
+  next.index = 2;
+  {
+    ManifestWriter writer(path);  // must cut the fragment before appending
+    writer.append(next);
+  }
+  const auto state = load_manifest(path);
+  EXPECT_FALSE(state.dropped_torn_tail);
+  EXPECT_EQ(state.shards.size(), 2u);
+  EXPECT_EQ(state.shards.count(0), 1u);
+  EXPECT_EQ(state.shards.count(2), 1u);
+  EXPECT_EQ(state.valid_prefix_bytes, fs::file_size(path));
+}
+
+/// One manifest line sealed the way the format defines it: the crc field is
+/// the decimal FNV-1a of the object's dump without it.
+std::string sealed_line(util::JsonObject obj) {
+  obj["crc"] = std::to_string(io::fnv1a(util::Json(obj).dump()));
+  return util::Json(std::move(obj)).dump() + "\n";
+}
+
+TEST(CampaignManifest, CrcValidRecordWithBadFieldsThrowsRuntimeError) {
+  const std::string dir = fresh_dir("bad_fields");
+  fs::create_directories(dir);
+  const std::string path = dir + "/manifest.jsonl";
+  util::JsonObject shard;
+  shard["type"] = "shard";
+  shard["index"] = 0;
+  shard["attempt"] = 0;
+  shard["docs"] = 4;
+  shard["bytes"] = 10;
+  shard["checksum"] = "17";
+  shard["quarantined"] = 0;
+  io::write_file_atomic(path, sealed_line(shard));
+  ASSERT_EQ(load_manifest(path).shards.size(), 1u);
+
+  std::vector<util::JsonObject> bad;
+  for (const char* key : {"type", "index", "checksum", "quarantined"}) {
+    bad.push_back(shard);
+    bad.back().erase(key);  // missing
+  }
+  bad.push_back(shard);
+  bad.back()["docs"] = "4";  // mistyped
+  bad.push_back(shard);
+  bad.back()["index"] = -1;  // negative size
+  bad.push_back(shard);
+  bad.back()["bytes"] = 1e300;  // beyond any size
+  bad.push_back(shard);
+  bad.back()["checksum"] = "18446744073709551616";  // u64 overflow
+  bad.push_back(shard);
+  bad.back()["checksum"] = "12a";
+  for (const auto& obj : bad) {
+    io::write_file_atomic(path, sealed_line(obj));
+    EXPECT_THROW(load_manifest(path), std::runtime_error)
+        << util::Json(obj).dump();
+  }
+}
+
 // ------------------------------------------------------------- runner ----
 
 /// Trains one small bundle per process (each ctest case is its own

@@ -19,9 +19,11 @@
 
 #include "core/doc_source.hpp"
 #include "doc/generator.hpp"
+#include "io/fsio.hpp"
 #include "serve/control/controller.hpp"
 #include "serve/control/journal.hpp"
 #include "serve/service.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace adaparse::serve::control {
@@ -367,6 +369,84 @@ TEST(DecisionJournalTest, MidJournalDamageThrows) {
     out << bytes;
   }
   EXPECT_THROW(load_decision_log(path.string()), std::runtime_error);
+}
+
+TEST(DecisionJournalTest, ReopenAfterTornAppendCutsTheTail) {
+  const auto path = temp_file("adaparse_journal_reopen_torn.jsonl");
+  fs::remove(path);
+  {
+    DecisionJournal journal(path.string());
+    journal.append(test_config());
+    TickRecord record;
+    record.reading = reading(1, 50000, 2, 0);
+    record.reason = "hold";
+    journal.append(record);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "{\"type\":\"tick\",\"tick\":\"2\",\"p95";
+  }
+  {
+    // A restarted service reopens its journal: the torn fragment must be
+    // cut, or the next tick merges into it and the journal never loads.
+    DecisionJournal journal(path.string());
+    TickRecord record;
+    record.reading = reading(2, 60000, 2, 0);
+    record.reason = "hold";
+    journal.append(record);
+  }
+  const auto log = load_decision_log(path.string());
+  EXPECT_FALSE(log.dropped_torn_tail);
+  ASSERT_TRUE(log.config.has_value());
+  ASSERT_EQ(log.ticks.size(), 2U);
+  EXPECT_EQ(log.ticks[0].reading.tick, 1U);
+  EXPECT_EQ(log.ticks[1].reading.tick, 2U);
+}
+
+TEST(DecisionJournalTest, CrcValidRecordWithBadFieldsThrowsRuntimeError) {
+  const auto path = temp_file("adaparse_journal_bad_fields.jsonl");
+  fs::remove(path);
+  {
+    DecisionJournal journal(path.string());
+    TickRecord record;
+    record.reading = reading(1, 50000, 2, 0);
+    record.reason = "hold";
+    journal.append(record);
+  }
+  const auto line = [&] {
+    std::ifstream in(path, std::ios::binary);
+    std::string text;
+    std::getline(in, text);
+    return text;
+  }();
+  util::JsonObject tick = util::Json::parse(line).as_object();
+  tick.erase("crc");
+  const auto reseal = [&](util::JsonObject obj) {
+    obj["crc"] = std::to_string(io::fnv1a(util::Json(obj).dump()));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << util::Json(std::move(obj)).dump() << '\n';
+  };
+  reseal(tick);
+  ASSERT_EQ(load_decision_log(path.string()).ticks.size(), 1U);
+
+  std::vector<util::JsonObject> bad;
+  for (const char* key : {"type", "tick", "reason", "level", "window"}) {
+    bad.push_back(tick);
+    bad.back().erase(key);  // missing
+  }
+  bad.push_back(tick);
+  bad.back()["reason"] = 7;  // mistyped
+  bad.push_back(tick);
+  bad.back()["queued"] = -3;  // negative size
+  bad.push_back(tick);
+  bad.back()["tick"] = "18446744073709551616";  // u64 overflow
+  bad.push_back(tick);
+  bad.back()["p95_micros"] = "-5";
+  for (const auto& obj : bad) {
+    reseal(obj);
+    EXPECT_THROW(load_decision_log(path.string()), std::runtime_error)
+        << util::Json(obj).dump();
+  }
 }
 
 TEST(DecisionJournalTest, MissingFileYieldsEmptyLog) {

@@ -4,14 +4,20 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <sstream>
 
+#include "campaign/manifest.hpp"
 #include "doc/generator.hpp"
 #include "io/doc_codec.hpp"
 #include "io/fsio.hpp"
 #include "io/jsonl.hpp"
+#include "io/sealed_log.hpp"
 #include "io/shard.hpp"
+#include "serve/control/journal.hpp"
 #include "util/rng.hpp"
 
 namespace adaparse::io {
@@ -497,6 +503,230 @@ TEST(Fsio, Fnv1aIsStableAndContentSensitive) {
   EXPECT_EQ(fnv1a("campaign"), fnv1a("campaign"));
   EXPECT_NE(fnv1a("campaign"), fnv1a("campaigN"));
   EXPECT_NE(fnv1a(""), fnv1a(std::string_view("\0", 1)));
+}
+
+// ---------------------------------------------------------- sealed log ----
+
+std::string sealed_log_path(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "adaparse_sealed_log";
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path path = dir / name;
+  std::filesystem::remove(path);
+  return path.string();
+}
+
+/// Five records of different shapes, one of them with escapes and a
+/// newline inside a string.
+std::vector<util::JsonObject> sample_log_records() {
+  std::vector<util::JsonObject> records;
+  for (int i = 0; i < 5; ++i) {
+    util::JsonObject record;
+    record["type"] = i % 2 == 0 ? "even" : "odd";
+    record["index"] = i;
+    record["note"] = std::string(static_cast<std::size_t>(i), 'x') + "\"\n";
+    if (i == 3) record["list"] = util::Json(util::JsonArray{1, "two", true});
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+/// Overwrites `path` without write_file_atomic's fsyncs: these tests
+/// rewrite one small file thousands of times.
+void put_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+std::vector<std::string> dumps(const std::vector<util::JsonObject>& records) {
+  std::vector<std::string> out;
+  for (const auto& record : records) out.push_back(util::Json(record).dump());
+  return out;
+}
+
+TEST(SealedLog, TruncationAndSingleByteMutantsAreTornTailsOrTypedErrors) {
+  const std::string path = sealed_log_path("mutants.jsonl");
+  const auto records = sample_log_records();
+  {
+    SealedLog log(path, "test log");
+    for (const auto& record : records) log.append(record);
+  }
+  const std::string full = read_file(path).value();
+  const auto expected = dumps(records);
+  ASSERT_EQ(dumps(load_sealed_log(path, "test log").records), expected);
+
+  util::JsonObject extra;
+  extra["type"] = "extra";
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    // Property 1: any truncation loads, holding exactly the records whose
+    // newline survived.
+    const std::string prefix = full.substr(0, cut);
+    const auto committed = static_cast<std::size_t>(
+        std::count(prefix.begin(), prefix.end(), '\n'));
+    const std::size_t valid = prefix.rfind('\n') + 1;  // 0 when none
+    put_file(path, prefix);
+    const auto torn = load_sealed_log(path, "test log");
+    EXPECT_EQ(dumps(torn.records),
+              std::vector<std::string>(expected.begin(),
+                                       expected.begin() + committed))
+        << "cut " << cut;
+    EXPECT_EQ(torn.valid_prefix_bytes, valid) << "cut " << cut;
+    EXPECT_EQ(torn.dropped_torn_tail, valid != cut) << "cut " << cut;
+
+    // Property 2: reopening for append cuts the tail, so the next load
+    // holds those records plus the new one.
+    {
+      SealedLog log(path, "test log");
+      log.append(extra);
+    }
+    auto want = std::vector<std::string>(expected.begin(),
+                                         expected.begin() + committed);
+    want.push_back(util::Json(extra).dump());
+    const auto reopened = load_sealed_log(path, "test log");
+    EXPECT_EQ(dumps(reopened.records), want) << "cut " << cut;
+    EXPECT_FALSE(reopened.dropped_torn_tail) << "cut " << cut;
+  }
+
+  // Property 3: every single-byte mutant loads or throws runtime_error.
+  util::Rng rng(0x5EA1ED);
+  std::size_t loaded = 0, rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutant = full;
+    const std::size_t pos = rng.below(mutant.size());
+    mutant[pos] = static_cast<char>(mutant[pos] ^ (1 + rng.below(255)));
+    put_file(path, mutant);
+    try {
+      load_sealed_log(path, "test log");
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << pos << ": " << e.what();
+    }
+  }
+  EXPECT_GT(loaded, 0u);  // damage in the final line is a torn tail
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SealedLog, ResealedFieldMutantsDecodeOrThrowRuntimeError) {
+  // Byte mutants almost never keep a valid CRC, so they stop at the line
+  // check. Resealing each mutated record drives the damage into the
+  // manifest and journal decoders, which must fail only with
+  // std::runtime_error.
+  const std::string manifest = sealed_log_path("fields_manifest.jsonl");
+  {
+    campaign::ManifestWriter writer(manifest);
+    campaign::PlanRecord plan;
+    plan.docs = 7;
+    plan.shard_docs = {4, 3};
+    plan.fingerprint = "f";
+    writer.append(plan);
+    writer.append(campaign::QuarantineRecord{1, "doc-1"});
+    writer.append(campaign::ShardRecord{1, 0, 3, 99, 42, 1});
+    writer.append(campaign::FinalRecord{7, 43});
+  }
+  const std::string journal = sealed_log_path("fields_journal.jsonl");
+  {
+    serve::control::DecisionJournal writer(journal);
+    writer.append(serve::control::ControlConfig{});
+    serve::control::TickRecord tick;
+    tick.reading.tick = 1;
+    tick.reason = "hold";
+    writer.append(tick);
+  }
+  const std::string mutant = sealed_log_path("fields_mutant.jsonl");
+  const std::function<void()> decoders[] = {
+      [&] { campaign::load_manifest(mutant); },
+      [&] { serve::control::load_decision_log(mutant); }};
+  const std::string sources[] = {manifest, journal};
+  util::Rng rng(0xF1E1D5);
+  std::size_t decoded = 0, rejected = 0;
+  for (int which = 0; which < 2; ++which) {
+    const auto records = load_sealed_log(sources[which], "test log").records;
+    for (int i = 0; i < 600; ++i) {
+      std::string body = util::Json(records[rng.below(records.size())]).dump();
+      const std::size_t pos = rng.below(body.size());
+      body[pos] = static_cast<char>(body[pos] ^ (1 + rng.below(255)));
+      util::Json mutated;
+      try {
+        mutated = util::Json::parse(body);
+      } catch (const std::runtime_error&) {
+        continue;  // no longer JSON: the CRC check's case, covered above
+      }
+      if (!mutated.is_object()) continue;
+      std::filesystem::remove(mutant);
+      {
+        SealedLog log(mutant, "test log");
+        log.append(mutated.as_object());
+      }
+      try {
+        decoders[which]();
+        ++decoded;
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << body << ": " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SealedLog, ManifestAndJournalBytesArePinned) {
+  // Pins the on-disk bytes of both logs: every existing manifest and
+  // journal must keep loading, so neither the line format nor a record
+  // codec may move these digests.
+  const std::string manifest = sealed_log_path("pinned_manifest.jsonl");
+  {
+    campaign::ManifestWriter writer(manifest);
+    campaign::PlanRecord plan;
+    plan.docs = 7;
+    plan.shard_docs = {4, 3};
+    plan.fingerprint = "llm|alpha=0.1";
+    writer.append(plan);
+    writer.append(campaign::QuarantineRecord{1, "doc-\"0042\""});
+    writer.append(
+        campaign::ShardRecord{1, 2, 3, 999, 0xDEADBEEFCAFEF00DULL, 1});
+    writer.append(campaign::FinalRecord{7, 0xFFFFFFFFFFFFFFFFULL});
+  }
+  const std::string journal = sealed_log_path("pinned_journal.jsonl");
+  {
+    serve::control::DecisionJournal writer(journal);
+    serve::control::ControlConfig config;
+    config.slo_p95_micros = 100000;
+    config.recover_fraction = 0.7;
+    config.queue_high = 10;
+    config.queue_low = 4;
+    writer.append(config);
+    const serve::control::Action actions[] = {
+        serve::control::Action::kHold, serve::control::Action::kEscalate,
+        serve::control::Action::kRestore};
+    for (std::uint64_t t = 1; t <= 3; ++t) {
+      serve::control::TickRecord tick;
+      tick.reading.tick = t;
+      tick.reading.p95_micros = 60000 * t;
+      tick.reading.window_count = t + 2;
+      tick.reading.queued_jobs = 2 * t;
+      tick.reading.running_jobs = 1;
+      tick.reading.resident_documents = 32 * t;
+      tick.action = actions[t - 1];
+      tick.level = static_cast<serve::control::Level>(t % 2);
+      tick.reason = "tick " + std::to_string(t);
+      writer.append(tick);
+    }
+  }
+  EXPECT_EQ(fnv1a(read_file(manifest).value()), 11206406291623076937ULL);
+  EXPECT_EQ(fnv1a(read_file(journal).value()), 5225525218140465116ULL);
+
+  const auto state = campaign::load_manifest(manifest);
+  EXPECT_EQ(state.quarantines.at(0).doc_id, "doc-\"0042\"");
+  EXPECT_EQ(state.shards.at(1).checksum, 0xDEADBEEFCAFEF00DULL);
+  EXPECT_EQ(state.final_record->checksum, 0xFFFFFFFFFFFFFFFFULL);
+  const auto log = serve::control::load_decision_log(journal);
+  EXPECT_EQ(log.config->slo_p95_micros, 100000u);
+  ASSERT_EQ(log.ticks.size(), 3u);
+  EXPECT_EQ(log.ticks[2].action, serve::control::Action::kRestore);
+  EXPECT_EQ(log.ticks[2].reading.resident_documents, 96u);
 }
 
 }  // namespace
